@@ -7,7 +7,7 @@
 //!
 //! Three tables are printed:
 //!
-//! * **phases** — every sampled metric (`qp.solve_ns`, `conv.fwd_ns`,
+//! * **phases** — every sampled metric (`qp.solve_ns`, `model.fwd_ns`,
 //!   …): count, total, mean, exact p50/p99, and share of wall-time
 //!   (the `run` span). With parallel clients, shares can sum past 100%.
 //! * **spans** — the run hierarchy rolled up by shape (`task.3` →

@@ -1,24 +1,26 @@
 //! Message-passing federation: server and clients as actor threads.
 //!
-//! [`FederationRuntime`] runs the same synchronous FedAvg protocol as
-//! [`Simulation`], but instead of calling clients as functions, the
-//! server and every client run as independent threads exchanging
-//! [`WireMsg`] frames over a [`Transport`]. Faults are realized at the
-//! wire seam: a crash is a genuinely closed connection followed by a
-//! `Rejoin` redial, a lost upload is a frame dropped in flight (with the
-//! bookkeeping arriving over the reliable `UploadFailed` control
-//! message), corruption damages the parameter bytes inside the frame,
-//! and stragglers delay delivery.
+//! [`FederationRuntime`] is the transport driver of the shared round
+//! engine (`protocol::RoundEngine`). Where [`Simulation`] calls clients
+//! as functions, here the server and every client run as independent
+//! threads exchanging [`WireMsg`] frames over a [`Transport`]. The
+//! server only moves frames: it feeds the engine what arrives (uploads,
+//! retained sizes, evaluation rows) and sends out what the engine
+//! decides (resyncs, broadcasts). The client actor builds its upload
+//! with the same `protocol::contribute` step the in-process driver uses.
 //!
-//! The run's *ledger* — fault event log, byte accounting, simulated
-//! deadline math — is the shared [`protocol`] code, driven by the same
-//! pure [`FaultPlan`] both sides draw from. That is what makes a seeded
-//! run produce the identical fault log and bit-identical final model on
-//! every backend, while the faults themselves are still physically real
-//! on the wire. Liveness comes from physical signals (uploads, control
-//! messages, connection closes); a generous wall-clock deadline per
-//! collect phase is only a safety net — when it fires, the server
-//! degrades gracefully (proceeds without the missing client and counts
+//! Faults are realized at the wire seam: a crash is a genuinely closed
+//! connection followed by a `Rejoin` redial, a lost upload is a frame
+//! dropped in flight (with the bookkeeping arriving over the reliable
+//! `UploadFailed` control message), corruption damages the parameter
+//! bytes inside the frame, and stragglers delay delivery. Both sides
+//! draw them from the same pure [`FaultPlan`], so a seeded run produces
+//! the identical fault log and bit-identical final model on every
+//! backend while the faults are still physically real on the wire.
+//! Liveness comes from physical signals (uploads, control messages,
+//! connection closes); a generous wall-clock deadline per collect phase
+//! is only a safety net — when it fires, the server degrades gracefully
+//! (proceeds without the missing client and counts
 //! `transport.round_timeouts`) instead of hanging.
 //!
 //! Malformed frames — bytes that fail frame or message decoding —
@@ -32,23 +34,20 @@
 //! [`FaultPlan`]: crate::faults::FaultPlan
 //! [`FaultKind`]: crate::faults::FaultKind
 
-use crate::client::{CommBytes, FclClient, Payload};
+use crate::client::FclClient;
 use crate::comm::CommModel;
 use crate::device::DeviceProfile;
-use crate::faults::{FaultEvent, FaultPlan, RoundFaults};
+use crate::faults::{FaultPlan, RoundFaults};
 use crate::framing::TraceCtx;
-use crate::metrics::{mean_matrix, AccuracyMatrix};
-use crate::proto::{UploadMeta, WireMsg};
-use crate::protocol;
-use crate::server::fedavg;
-use crate::sim::{PhaseBreakdown, SimConfig, SimError, SimReport};
+use crate::proto::WireMsg;
+use crate::protocol::{self, Contribution, RoundEngine};
+use crate::sim::{SimConfig, SimError, SimReport};
 use crate::transport::{
     bind, send_upload_faulty, MsgRx, MsgTx, Transport, TransportError, TransportKind,
     TransportListener, WireStats, WireStatsSnapshot,
 };
 use crate::wiretrace;
 use fedknow_data::ClientDataset;
-use fedknow_math::rng::substream;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,14 +139,7 @@ impl FederationRuntime {
         model_bytes: u64,
         kind: TransportKind,
     ) -> Self {
-        assert_eq!(clients.len(), data.len(), "one dataset per client");
-        assert_eq!(clients.len(), devices.len(), "one device per client");
-        assert!(!clients.is_empty());
-        let t0 = data[0].tasks.len();
-        assert!(
-            data.iter().all(|d| d.tasks.len() == t0),
-            "task counts differ across clients"
-        );
+        protocol::check_fleet(clients.len(), &data, &devices);
         Self {
             clients,
             data,
@@ -177,15 +169,10 @@ impl FederationRuntime {
     /// Run and also return the wire-seam byte ledger — the actual
     /// data-plane/overhead bytes this run put on the transport.
     pub fn run_with_stats(self) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        if fedknow_obs::is_enabled() {
-            fedknow_obs::set_context("sim.transport", self.kind.label());
-        }
         let stats = Arc::new(WireStats::new());
-        let (transport, listener) =
-            bind(self.kind, stats.clone()).map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
-        self.run_inner(listener, stats, Some(transport))
+        let (transport, listener) = bind(self.kind, stats.clone()).map_err(transport_error)?;
+        let label = self.kind.label();
+        self.run_inner(label, listener, stats, Some(transport))
     }
 
     /// Serve a multi-process federation: listen at a fixed TCP address
@@ -195,15 +182,10 @@ impl FederationRuntime {
     /// the seed as [`Self::run_with_stats`] — only which side of the
     /// wire the clients live on changes.
     pub fn serve_at(self, addr: &str) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        if fedknow_obs::is_enabled() {
-            fedknow_obs::set_context("sim.transport", "tcp");
-        }
         let stats = Arc::new(WireStats::new());
-        let listener = crate::transport::bind_tcp_at(addr, stats.clone())
-            .map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
-        self.run_inner(listener, stats, None)
+        let listener =
+            crate::transport::bind_tcp_at(addr, stats.clone()).map_err(transport_error)?;
+        self.run_inner("tcp", listener, stats, None)
     }
 
     /// The shared server body behind [`Self::run_with_stats`] (local
@@ -212,18 +194,23 @@ impl FederationRuntime {
     /// spawned).
     fn run_inner(
         self,
+        label: &str,
         listener: Box<dyn TransportListener>,
         stats: Arc<WireStats>,
         transport: Option<Arc<dyn Transport>>,
     ) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        wiretrace::seed_trace_id(self.cfg.seed);
-        let obs_before = fedknow_obs::snapshot();
-        let run_span = fedknow_obs::span("run");
-
         let n = self.clients.len();
-        let method = self.clients[0].method_name().to_string();
-        let plan = FaultPlan::new(self.cfg.seed, self.cfg.faults);
-        let inert = plan.config().is_inert();
+        let mut engine = RoundEngine::start(
+            self.clients[0].method_name(),
+            self.data[0].tasks.len(),
+            self.devices,
+            self.comm,
+            self.cfg.clone(),
+        );
+        if fedknow_obs::is_enabled() {
+            fedknow_obs::set_context("sim.transport", label);
+        }
+        wiretrace::seed_trace_id(self.cfg.seed);
 
         // Reader threads register here so teardown can join them.
         let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
@@ -245,36 +232,24 @@ impl FederationRuntime {
         // Spawn one actor thread per client; each owns its algorithm
         // instance, dataset, and seeded RNG substream. In serve mode
         // the clients live in other processes and dial in instead.
-        let num_tasks = self.data[0].tasks.len();
         let mut client_threads = Vec::with_capacity(n);
         if let Some(transport) = transport {
-            let mut data_iter = self.data.into_iter();
-            for (c, client) in self.clients.into_iter().enumerate() {
-                let actor = ClientActor {
-                    id: c as u32,
+            for (c, (client, data)) in self.clients.into_iter().zip(self.data).enumerate() {
+                let actor = ClientActor::new(
+                    c as u32,
                     client,
-                    data: data_iter.next().expect("dataset per client"),
-                    rng: substream(self.cfg.seed, 0xF1_0000 + c as u64),
-                    plan: plan.clone(),
-                    inert,
-                    model_bytes: self.model_bytes,
-                    iters_per_round: self.cfg.iters_per_round,
-                    transport: transport.clone(),
-                    straggle_delay: self.actor_cfg.straggle_delay,
-                    upload_sent_at: None,
-                };
+                    data,
+                    &self.cfg,
+                    self.model_bytes,
+                    transport.clone(),
+                    self.actor_cfg.straggle_delay,
+                );
                 client_threads.push(std::thread::spawn(move || actor.run()));
             }
         }
 
         let mut server = ServerActor {
             n,
-            num_tasks,
-            devices: self.devices,
-            comm: self.comm,
-            cfg: self.cfg,
-            plan,
-            inert,
             actor_cfg: self.actor_cfg,
             inbox: inbox_rx,
             depth,
@@ -283,7 +258,7 @@ impl FederationRuntime {
             rejoin_base_down: vec![0; n],
             stash: VecDeque::new(),
         };
-        let result = server.drive(method);
+        let result = server.drive(&mut engine);
 
         // Teardown: clients exit on Shutdown (or on their dead
         // connections), which unblocks their readers; the pump stops on
@@ -298,14 +273,13 @@ impl FederationRuntime {
             let _ = r.join();
         }
 
-        let mut report = result?;
-        drop(run_span);
-        report.phase_breakdown = obs_before.and_then(|before| {
-            fedknow_obs::snapshot().map(|after| PhaseBreakdown::from_metrics(&after.since(&before)))
-        });
-        fedknow_obs::flush();
-        Ok((report, stats.snapshot()))
+        result?;
+        Ok((engine.report(), stats.snapshot()))
     }
+}
+
+fn transport_error(e: TransportError) -> SimError {
+    SimError::Transport(e.to_string())
 }
 
 /// Run one client as its own OS process's worker: dial the server over
@@ -324,22 +298,16 @@ pub fn run_remote_client(
 ) {
     fedknow_obs::init_from_env();
     wiretrace::seed_trace_id(cfg.seed);
-    let plan = FaultPlan::new(cfg.seed, cfg.faults);
-    let inert = plan.config().is_inert();
-    let actor = ClientActor {
+    ClientActor::new(
         id,
         client,
         data,
-        rng: substream(cfg.seed, 0xF1_0000 + u64::from(id)),
-        plan,
-        inert,
+        cfg,
         model_bytes,
-        iters_per_round: cfg.iters_per_round,
         transport,
         straggle_delay,
-        upload_sent_at: None,
-    };
-    actor.run();
+    )
+    .run();
     fedknow_obs::flush();
 }
 
@@ -483,6 +451,31 @@ struct ClientActor {
 }
 
 impl ClientActor {
+    fn new(
+        id: u32,
+        client: Box<dyn FclClient>,
+        data: ClientDataset,
+        cfg: &SimConfig,
+        model_bytes: u64,
+        transport: Arc<dyn Transport>,
+        straggle_delay: Duration,
+    ) -> Self {
+        let plan = FaultPlan::new(cfg.seed, cfg.faults);
+        Self {
+            id,
+            client,
+            data,
+            rng: protocol::client_stream(cfg.seed, id as usize),
+            inert: plan.config().is_inert(),
+            plan,
+            model_bytes,
+            iters_per_round: cfg.iters_per_round,
+            transport,
+            straggle_delay,
+            upload_sent_at: None,
+        }
+    }
+
     fn connect(&self) -> Option<crate::transport::Conn> {
         let mut conn = self.transport.connect().ok()?;
         conn.tx.set_peer(self.id);
@@ -617,37 +610,23 @@ impl ClientActor {
         f: &RoundFaults,
         tx: &mut MsgTx,
     ) -> Result<(), TransportError> {
-        let mut flops = 0u64;
-        let mut loss_sum = 0.0f64;
-        for _ in 0..self.iters_per_round {
-            let s = self.client.train_iteration(&mut self.rng);
-            flops += s.flops;
-            loss_sum += s.loss;
-        }
-        let params = self.client.upload();
-        let had_params = params.is_some();
-        let mut payloads = self.client.payload_out();
-        for p in &mut payloads {
-            p.from_client = self.id as usize;
-        }
-        let extra = self.client.extra_comm();
-        let base = self.client.base_comm(self.model_bytes);
-        let meta = UploadMeta {
-            weight: self.data.tasks[step].train.len() as u64,
-            flops,
-            loss_sum,
-            iters: self.iters_per_round as u64,
-            base_up: base.up,
-            base_down: base.down,
-            extra_up: extra.up,
-            extra_down: extra.down,
-            had_params,
-        };
+        let Contribution {
+            meta,
+            params,
+            payloads,
+        } = protocol::contribute(
+            self.client.as_mut(),
+            &mut self.rng,
+            self.id as usize,
+            self.iters_per_round,
+            self.data.tasks[step].train.len() as u64,
+            self.model_bytes,
+        );
         // One logical upload per round: every frame it produces — lost
         // retry attempts, the delivery, the UploadFailed fallback —
         // shares this parent span, so the merged timeline groups them.
         let _upload_scope = wiretrace::parent_scope(wiretrace::next_span_id());
-        if !had_params {
+        if !meta.had_params {
             // Nothing to lose on the wire: the bookkeeping travels the
             // control plane untouched by upload faults.
             tx.send(&WireMsg::Upload {
@@ -681,21 +660,10 @@ impl ClientActor {
     }
 }
 
-/// What the server holds of one client's round contribution.
-struct RoundContribution {
-    meta: UploadMeta,
-    params: Option<Vec<f32>>,
-    payloads: Vec<Payload>,
-}
-
+/// The server's I/O half: connections, the inbox, and the collect
+/// loops. The ledger is the [`RoundEngine`] it drives.
 struct ServerActor {
     n: usize,
-    num_tasks: usize,
-    devices: Vec<DeviceProfile>,
-    comm: CommModel,
-    cfg: SimConfig,
-    plan: FaultPlan,
-    inert: bool,
     actor_cfg: ActorConfig,
     inbox: mpsc::Receiver<NetEvent>,
     /// Inbox backlog gauge; readers increment on push, [`Self::popped`]
@@ -828,100 +796,42 @@ impl ServerActor {
         false
     }
 
-    /// The task/round loop — the server-side mirror of
-    /// [`Simulation::advance`], with every ledger step delegated to the
-    /// shared [`protocol`] functions in the identical order.
-    ///
-    /// [`Simulation::advance`]: crate::sim::Simulation
-    fn drive(&mut self, method: String) -> Result<SimReport, SimError> {
+    /// The task/round loop over the wire. The engine keeps the ledger;
+    /// the server sends StartTask, Resync, RoundStart, Broadcast,
+    /// FinishTask and Eval, and collects uploads, TaskDone and EvalRow
+    /// replies for it.
+    fn drive(&mut self, engine: &mut RoundEngine) -> Result<(), SimError> {
         let n = self.n;
         // Wait for every client's Hello before the first task.
         for c in 0..n {
             if !self.ensure_conn(c) {
-                return Err(SimError::BadCheckpoint(format!(
-                    "client {c} never connected"
-                )));
+                return Err(SimError::Transport(format!("client {c} never connected")));
             }
         }
 
-        let mut active = vec![true; n];
-        let mut missed_broadcast = vec![false; n];
-        let mut dropouts: Vec<(usize, usize)> = Vec::new();
-        let mut matrices = vec![AccuracyMatrix::new(); n];
-        let mut task_compute: Vec<f64> = Vec::new();
-        let mut task_comm: Vec<f64> = Vec::new();
-        let mut task_loss: Vec<f64> = Vec::new();
-        let mut total_bytes = 0u64;
-        let mut prev_global: Option<Vec<f32>> = None;
-        let mut last_global: Option<Vec<f32>> = None;
-        let mut fault_log: Vec<FaultEvent> = Vec::new();
-
-        let num_tasks = self.num_tasks;
-        let deadline_factor = self.plan.config().deadline_factor;
-        for step in 0..num_tasks {
+        for step in 0..engine.num_tasks() {
             let _task_span = fedknow_obs::obs_span!("task.{step}");
             self.drain_pending();
-            for c in (0..n).filter(|&c| active[c]) {
+            for c in (0..n).filter(|&c| engine.active()[c]) {
                 if self.ensure_conn(c) {
                     self.send(c, &WireMsg::StartTask { task: step as u32 });
                 }
             }
 
-            let mut compute_secs = 0.0f64;
-            let mut comm_secs = 0.0f64;
-            let mut loss_sum = 0.0f64;
-            let mut loss_iters = 0usize;
-
-            for round in 0..self.cfg.rounds_per_task {
+            for round in 0..engine.cfg().rounds_per_task {
                 let _round_span = fedknow_obs::obs_span!("round.{round}");
-                let global_round = (step * self.cfg.rounds_per_task + round) as u64;
-                fedknow_obs::set_round(global_round);
-                // Every server frame of this round — RoundStart fanout,
-                // upload Acks, the aggregate Broadcast — carries one
-                // round-scoped parent span.
+                // Every server frame of this round — resyncs, RoundStart
+                // fanout, upload Acks, the aggregate Broadcast — carries
+                // one round-scoped parent span.
                 let _round_scope = wiretrace::parent_scope(wiretrace::next_span_id());
-
-                let faults =
-                    protocol::draw_round_faults(&self.plan, self.inert, &active, global_round);
-
-                // Rejoin resyncs: re-send the missed broadcast before
-                // the round, charged exactly as the in-process ledger
-                // charges it.
                 self.drain_pending();
-                let mut rejoin_secs = vec![0.0f64; n];
-                for c in 0..n {
-                    if !active[c] || faults[c].crash || !missed_broadcast[c] {
-                        continue;
+                let start = engine.begin_round(round, |c, round, global| {
+                    if self.ensure_conn(c) {
+                        let global = global.to_vec();
+                        self.send(c, &WireMsg::Resync { round, global });
                     }
-                    missed_broadcast[c] = false;
-                    if let Some(g) = last_global.clone() {
-                        if self.ensure_conn(c) {
-                            self.send(
-                                c,
-                                &WireMsg::Resync {
-                                    round: global_round,
-                                    global: g,
-                                },
-                            );
-                        }
-                        rejoin_secs[c] = protocol::charge_rejoin(
-                            self.rejoin_base_down[c],
-                            &self.comm,
-                            global_round,
-                            c,
-                            &mut total_bytes,
-                            &mut fault_log,
-                        );
-                    }
-                }
-
-                let part = protocol::mark_crashes(
-                    &active,
-                    &faults,
-                    self.inert,
-                    global_round,
-                    &mut fault_log,
-                );
+                    self.rejoin_base_down[c]
+                });
 
                 // The round begins for every active client — the ones
                 // drawn to crash realize it by closing their connection
@@ -932,14 +842,9 @@ impl ServerActor {
                 // send to that client goes through `ensure_conn`, which
                 // synchronizes on the rejoin redial.
                 for c in 0..n {
-                    if active[c] && self.ensure_conn(c) {
-                        self.send(
-                            c,
-                            &WireMsg::RoundStart {
-                                round: global_round,
-                            },
-                        );
-                        if faults[c].crash {
+                    if engine.active()[c] && self.ensure_conn(c) {
+                        self.send(c, &WireMsg::RoundStart { round: start.round });
+                        if start.faults[c].crash {
                             self.txs[c] = None;
                         }
                     }
@@ -950,162 +855,32 @@ impl ServerActor {
                 // crashed clients owe nothing (their close is the
                 // signal). The wall deadline only degrades, never
                 // ledgers.
-                let contributions = self.collect_round(global_round, &part);
+                let contributions = self.collect_round(start.round, &start.part);
+                let depth = self.depth.load(Ordering::Relaxed);
+                let close = engine.close_round(&start, contributions, depth)?;
 
-                // From here on the ledger replays the in-process round
-                // body, in its exact order, over the received data.
-                for rc in contributions.iter().flatten() {
-                    loss_sum += rc.meta.loss_sum;
-                    loss_iters += rc.meta.iters as usize;
-                }
-                let flops: Vec<Option<u64>> = contributions
-                    .iter()
-                    .map(|rc| rc.as_ref().map(|rc| rc.meta.flops))
-                    .collect();
-                let assess = protocol::assess_compute(
-                    &flops,
-                    &self.devices,
-                    &faults,
-                    deadline_factor,
-                    global_round,
-                    &mut fault_log,
-                );
-                compute_secs += assess.round_compute;
-
-                let mut uploads: Vec<Option<Vec<f32>>> = Vec::with_capacity(n);
-                let mut weights: Vec<usize> = Vec::with_capacity(n);
-                let mut attempts = vec![0u32; n];
-                let mut backoff = vec![0.0f64; n];
-                for c in 0..n {
-                    let Some(rc) = &contributions[c] else {
-                        uploads.push(None);
-                        weights.push(0);
-                        continue;
-                    };
-                    weights.push(rc.meta.weight as usize);
-                    let mut up = rc.params.clone();
-                    // Damage was already applied in flight; only the
-                    // ledger entry happens here.
-                    let staged = protocol::stage_upload(
-                        &mut up,
-                        rc.meta.had_params,
-                        &faults[c],
-                        &self.plan,
-                        assess.deadline_missed[c],
-                        false,
-                        global_round,
-                        c,
-                        &mut fault_log,
-                    );
-                    attempts[c] = staged.attempts;
-                    backoff[c] = staged.backoff;
-                    uploads.push(up);
-                }
-
-                let agg = fedavg(&uploads, &weights)?;
-                protocol::quarantine_rejected(
-                    &agg.rejected,
-                    &mut uploads,
-                    global_round,
-                    &mut fault_log,
-                );
-                let global = agg.global;
-                protocol::fold_aggregate_telemetry(&uploads, &global, &mut prev_global);
-
-                let mut payloads: Vec<Payload> = Vec::new();
-                let mut payload_up = vec![0u64; n];
-                for (c, rc) in contributions.iter().enumerate() {
-                    let Some(rc) = rc else { continue };
-                    for p in &rc.payloads {
-                        payload_up[c] += p.size_bytes();
-                        payloads.push(p.clone());
-                    }
-                }
-                let payload_total: u64 = payloads.iter().map(|p| p.size_bytes()).sum();
-
-                let mut base = vec![CommBytes::default(); n];
-                let mut extra = vec![CommBytes::default(); n];
-                for (c, rc) in contributions.iter().enumerate() {
-                    if let Some(rc) = rc {
-                        base[c] = CommBytes {
-                            up: rc.meta.base_up,
-                            down: rc.meta.base_down,
-                        };
-                        extra[c] = CommBytes {
-                            up: rc.meta.extra_up,
-                            down: rc.meta.extra_down,
-                        };
-                    }
-                }
-                let round_comm = protocol::account_comm(
-                    &protocol::RoundCommInputs {
-                        part: &part,
-                        base: &base,
-                        extra: &extra,
-                        payload_up: &payload_up,
-                        payload_total,
-                        attempts: &attempts,
-                        backoff: &backoff,
-                        rejoin_secs: &rejoin_secs,
-                        have_global: global.is_some(),
-                    },
-                    &self.comm,
-                    &mut total_bytes,
-                );
-                comm_secs += round_comm;
-
-                protocol::fold_round_telemetry(
-                    global_round,
-                    &active,
-                    &part,
-                    &faults,
-                    &assess.actual,
-                    uploads.iter().filter(|u| u.is_some()).count() as u64,
-                    agg.rejected.len() as u64,
-                    assess.round_compute + round_comm,
-                    self.depth.load(Ordering::Relaxed),
-                );
-
-                // Broadcast to every participant. The message always
-                // goes out (the client waits on it), but the modeled
-                // download is only charged when a global exists — which
-                // account_comm already handled.
+                // The broadcast always goes out (the client waits on
+                // it), with or without a global.
                 let bcast = WireMsg::Broadcast {
-                    round: global_round,
-                    global: global.clone(),
-                    payloads,
+                    round: start.round,
+                    global: close.global,
+                    payloads: close.payloads,
                 };
-                for c in (0..n).filter(|&c| part[c]) {
+                for c in (0..n).filter(|&c| start.part[c]) {
                     self.send(c, &bcast);
-                }
-                if let Some(g) = &global {
-                    for c in 0..n {
-                        if active[c] && !part[c] {
-                            missed_broadcast[c] = true;
-                        }
-                    }
-                    last_global = Some(g.clone());
                 }
             }
 
-            // Task boundary: consolidate, then the OOM check over the
-            // reported retained bytes.
+            // Task boundary: consolidate and report retained bytes, then
+            // evaluate every client, dropped ones included (they keep
+            // their stale model).
             self.drain_pending();
-            for c in (0..n).filter(|&c| active[c]) {
+            for c in (0..n).filter(|&c| engine.active()[c]) {
                 if self.ensure_conn(c) {
                     self.send(c, &WireMsg::FinishTask);
                 }
             }
-            let retained = self.collect_task_done(&active);
-            for c in 0..n {
-                if active[c] && self.devices[c].would_oom(retained[c]) {
-                    active[c] = false;
-                    dropouts.push((c, step));
-                }
-            }
-
-            // Evaluation: every client, dropped ones included (they
-            // keep their stale model).
+            let retained = self.collect_task_done(engine.active());
             self.drain_pending();
             for c in 0..n {
                 if self.ensure_conn(c) {
@@ -1113,38 +888,14 @@ impl ServerActor {
                 }
             }
             let rows = self.collect_eval_rows(step);
-            for (m, row) in matrices.iter_mut().zip(rows) {
-                m.push_row(row)?;
-            }
-            if fedknow_obs::is_enabled() {
-                protocol::record_forgetting(&matrices, step);
-            }
-
-            task_compute.push(compute_secs);
-            task_comm.push(comm_secs);
-            task_loss.push(if loss_iters > 0 {
-                loss_sum / loss_iters as f64
-            } else {
-                0.0
-            });
+            engine.close_task(&retained, rows)?;
         }
 
         for c in 0..n {
             self.send(c, &WireMsg::Shutdown);
         }
         self.txs.iter_mut().for_each(|t| *t = None);
-
-        Ok(SimReport {
-            method,
-            accuracy: mean_matrix(&matrices),
-            task_compute_seconds: task_compute,
-            task_comm_seconds: task_comm,
-            total_bytes,
-            dropouts,
-            task_mean_loss: task_loss,
-            phase_breakdown: None,
-            fault_log,
-        })
+        Ok(())
     }
 
     /// Collect this round's contributions from every participant. Each
@@ -1152,9 +903,9 @@ impl ServerActor {
     /// whichever arrives. Crash closes and rejoin redials are absorbed
     /// as bookkeeping. The wall deadline degrades gracefully: missing
     /// clients are dropped from the round and counted, never ledgered.
-    fn collect_round(&mut self, round: u64, part: &[bool]) -> Vec<Option<RoundContribution>> {
+    fn collect_round(&mut self, round: u64, part: &[bool]) -> Vec<Option<Contribution>> {
         let n = self.n;
-        let mut out: Vec<Option<RoundContribution>> = (0..n).map(|_| None).collect();
+        let mut out: Vec<Option<Contribution>> = (0..n).map(|_| None).collect();
         let mut pending: Vec<bool> = part.to_vec();
         let mut missing = pending.iter().filter(|&&p| p).count();
         let deadline = Instant::now() + self.actor_cfg.round_deadline;
@@ -1185,7 +936,7 @@ impl ServerActor {
                     ..
                 } if r == round && (client as usize) < n && pending[client as usize] => {
                     let c = client as usize;
-                    out[c] = Some(RoundContribution {
+                    out[c] = Some(Contribution {
                         meta,
                         params,
                         payloads,
@@ -1206,7 +957,7 @@ impl ServerActor {
                     ..
                 } if r == round && (client as usize) < n && pending[client as usize] => {
                     let c = client as usize;
-                    out[c] = Some(RoundContribution {
+                    out[c] = Some(Contribution {
                         meta,
                         params: None,
                         payloads,

@@ -18,13 +18,18 @@
 //!   bandwidth, per client, per round.
 //! * [`metrics`] — the accuracy matrix, average accuracy, and the paper's
 //!   forgetting-rate definition (§V-D).
-//! * [`sim`] — the synchronized task/round/iteration loop, with clients
-//!   trained in parallel threads.
-//! * [`framing`] / [`proto`] / [`transport`] / [`actor`] — the
-//!   transport-backed federation: length-prefixed frames, typed wire
-//!   messages, swappable channel/TCP/Unix-socket backends with fault
-//!   injection at the wire seam, and the server/client actor threads
-//!   that reproduce the simulator's ledger bit-for-bit.
+//! * `protocol` (crate-private) — the synchronous round written once: a
+//!   sans-IO `RoundEngine` that owns the ledger (faults, participation,
+//!   FedAvg, byte and deadline accounting, OOM dropout, accuracy
+//!   matrices) and the one step that builds a client's contribution.
+//!   Both drivers below feed it and keep only their I/O.
+//! * [`sim`] — the in-process driver: clients called as functions,
+//!   trained in parallel threads, with checkpoint/resume.
+//! * [`framing`] / [`proto`] / [`transport`] / [`actor`] — the transport
+//!   driver: length-prefixed frames, typed wire messages, swappable
+//!   channel/TCP/Unix-socket backends with fault injection at the wire
+//!   seam, and the server/client actor threads; its reports are
+//!   bit-identical to the in-process driver's.
 
 pub mod actor;
 pub mod client;

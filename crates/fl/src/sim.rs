@@ -6,9 +6,13 @@
 //! global model. At every task boundary each client is evaluated on all
 //! tasks it has learned so far, filling one row of its accuracy matrix.
 //!
-//! Clients train in parallel threads (they are independent between
-//! aggregations), but all randomness is drawn from per-client streams, so
-//! results are bit-identical regardless of thread count.
+//! [`Simulation`] is the in-process driver of the shared round engine
+//! (`protocol::RoundEngine`): it calls clients as functions and hands
+//! their contributions to the engine, which keeps the ledger. The
+//! transport-backed [`FederationRuntime`] drives the same engine over
+//! the wire. Clients train in parallel threads (they are independent
+//! between aggregations), but all randomness is drawn from per-client
+//! streams, so results are bit-identical regardless of thread count.
 //!
 //! ## Faults and resilience
 //!
@@ -32,14 +36,17 @@
 //! into a freshly built simulation and completes the run; for methods
 //! whose state is their flat parameter vector the resumed [`SimReport`]
 //! is bit-identical to an uninterrupted run.
+//!
+//! [`FederationRuntime`]: crate::actor::FederationRuntime
+//! [`FaultPlan`]: crate::faults::FaultPlan
 
-use crate::client::{CommBytes, FclClient, Payload};
+use crate::client::FclClient;
 use crate::comm::CommModel;
 use crate::device::DeviceProfile;
-use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
-use crate::metrics::{mean_matrix, AccuracyMatrix, RowLengthMismatch};
-use crate::protocol;
-use crate::server::{fedavg, AggregateError};
+use crate::faults::{FaultConfig, FaultEvent, FaultKind};
+use crate::metrics::{AccuracyMatrix, RowLengthMismatch};
+use crate::protocol::{self, RoundEngine};
+use crate::server::AggregateError;
 use fedknow_data::ClientDataset;
 use fedknow_math::rng::substream;
 use fedknow_nn::checkpoint::Checkpoint as ParamCheckpoint;
@@ -85,6 +92,8 @@ pub enum SimError {
     Aggregate(AggregateError),
     /// A [`SimCheckpoint`] does not fit this simulation.
     BadCheckpoint(String),
+    /// The transport failed to bind, dial, or bring every client in.
+    Transport(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -93,6 +102,7 @@ impl std::fmt::Display for SimError {
             SimError::Row(e) => write!(f, "evaluation row mismatch: {e}"),
             SimError::Aggregate(e) => write!(f, "aggregation call malformed: {e}"),
             SimError::BadCheckpoint(e) => write!(f, "checkpoint rejected: {e}"),
+            SimError::Transport(e) => write!(f, "transport failed: {e}"),
         }
     }
 }
@@ -300,32 +310,6 @@ pub struct Simulation {
     model_bytes: u64,
 }
 
-/// Mutable driver state threaded through the task loop — everything a
-/// [`SimCheckpoint`] must capture besides the clients themselves.
-struct RunState {
-    next_task: usize,
-    rngs: Vec<StdRng>,
-    active: Vec<bool>,
-    missed_broadcast: Vec<bool>,
-    dropouts: Vec<(usize, usize)>,
-    matrices: Vec<AccuracyMatrix>,
-    task_compute: Vec<f64>,
-    task_comm: Vec<f64>,
-    task_loss: Vec<f64>,
-    total_bytes: u64,
-    prev_global: Option<Vec<f32>>,
-    last_global: Option<Vec<f32>>,
-    fault_log: Vec<FaultEvent>,
-}
-
-/// Per-round, per-client training result gathered from the worker
-/// threads.
-struct RoundOutcome {
-    flops: u64,
-    loss_sum: f64,
-    iters: usize,
-}
-
 impl Simulation {
     /// Assemble a simulation. `clients`, `data` and `devices` must have
     /// equal lengths; every client must have the same number of tasks.
@@ -337,14 +321,7 @@ impl Simulation {
         cfg: SimConfig,
         model_bytes: u64,
     ) -> Self {
-        assert_eq!(clients.len(), data.len(), "one dataset per client");
-        assert_eq!(clients.len(), devices.len(), "one device per client");
-        assert!(!clients.is_empty());
-        let t0 = data[0].tasks.len();
-        assert!(
-            data.iter().all(|d| d.tasks.len() == t0),
-            "task counts differ across clients"
-        );
+        protocol::check_fleet(clients.len(), &data, &devices);
         Self {
             clients,
             data,
@@ -355,24 +332,27 @@ impl Simulation {
         }
     }
 
-    /// Register run-identifying context with the observability layer so a
-    /// postmortem bundle records *what* was running, not just how it died.
-    /// No-op while obs is disabled.
-    fn register_obs_context(&self) {
-        if !fedknow_obs::is_enabled() {
-            return;
-        }
-        fedknow_obs::set_context("sim.method", self.clients[0].method_name());
-        fedknow_obs::set_context("sim.seed", &self.cfg.seed.to_string());
-        if let Ok(cfg) = serde_json::to_string(&self.cfg) {
-            fedknow_obs::set_context("sim.config", &cfg);
-        }
+    /// A fresh round engine for one run over this fleet, and the
+    /// clients' training RNG streams.
+    fn start(&self) -> (RoundEngine, Vec<StdRng>) {
+        let engine = RoundEngine::start(
+            self.clients[0].method_name(),
+            self.data[0].tasks.len(),
+            self.devices.clone(),
+            self.comm,
+            self.cfg.clone(),
+        );
+        let rngs = (0..self.clients.len())
+            .map(|c| protocol::client_stream(self.cfg.seed, c))
+            .collect();
+        (engine, rngs)
     }
 
     /// Run the full task sequence and produce the report.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        let st = self.fresh_state();
-        self.drive(st)
+        let (mut engine, mut rngs) = self.start();
+        self.advance(&mut engine, &mut rngs, self.data[0].tasks.len())?;
+        Ok(engine.report())
     }
 
     /// Run the first `tasks` tasks and capture a checkpoint at that
@@ -380,21 +360,18 @@ impl Simulation {
     /// identically configured simulation completes the run;
     /// `tasks >= the stream length` checkpoints the completed run.
     pub fn checkpoint(&mut self, tasks: usize) -> Result<SimCheckpoint, SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        self.register_obs_context();
-        let mut st = self.fresh_state();
+        let (mut engine, mut rngs) = self.start();
         let until = tasks.min(self.data[0].tasks.len());
-        self.advance(&mut st, until)?;
+        self.advance(&mut engine, &mut rngs, until)?;
         fedknow_obs::mark(&format!("checkpoint.capture tasks={until}"));
-        let ck = self.capture(&st);
+        let ck = self.capture(&engine, &rngs);
         if fedknow_verify::is_enabled() {
             // Capturing must be a pure read: a second capture of the same
             // state has to be identical, or resume would replay from a
             // snapshot that drifted from the run it claims to freeze.
             fedknow_verify::report(
                 "sim.checkpoint_stable",
-                if self.capture(&st) == ck {
+                if self.capture(&engine, &rngs) == ck {
                     Ok(())
                 } else {
                     Err("capturing the same state twice produced different checkpoints".into())
@@ -411,35 +388,17 @@ impl Simulation {
     /// their flat parameter vector the final report is bit-identical to
     /// an uninterrupted [`Self::run`].
     pub fn resume(&mut self, ck: &SimCheckpoint) -> Result<SimReport, SimError> {
-        fedknow_obs::init_from_env();
+        let (mut engine, _) = self.start();
         fedknow_obs::mark(&format!("checkpoint.resume next_task={}", ck.next_task));
-        let st = self.restore_state(ck)?;
-        self.drive(st)
+        engine.restore(ck)?;
+        let mut rngs = self.restore_clients(ck)?;
+        self.advance(&mut engine, &mut rngs, self.data[0].tasks.len())?;
+        Ok(engine.report())
     }
 
-    fn fresh_state(&self) -> RunState {
-        let n = self.clients.len();
-        RunState {
-            next_task: 0,
-            rngs: (0..n)
-                .map(|c| substream(self.cfg.seed, 0xF1_0000 + c as u64))
-                .collect(),
-            active: vec![true; n],
-            missed_broadcast: vec![false; n],
-            dropouts: Vec::new(),
-            matrices: vec![AccuracyMatrix::new(); n],
-            task_compute: Vec::new(),
-            task_comm: Vec::new(),
-            task_loss: Vec::new(),
-            total_bytes: 0,
-            prev_global: None,
-            last_global: None,
-            fault_log: Vec::new(),
-        }
-    }
-
-    /// Snapshot the driver state and every client's parameters.
-    fn capture(&mut self, st: &RunState) -> SimCheckpoint {
+    /// Snapshot the engine's ledger, the RNG streams and every client's
+    /// parameters.
+    fn capture(&mut self, engine: &RoundEngine, rngs: &[StdRng]) -> SimCheckpoint {
         let client_params = self
             .clients
             .iter_mut()
@@ -452,77 +411,17 @@ impl Simulation {
                 })
             })
             .collect();
-        SimCheckpoint {
-            version: SimCheckpoint::VERSION,
-            method: self.clients[0].method_name().to_string(),
-            seed: self.cfg.seed,
-            rounds_per_task: self.cfg.rounds_per_task,
-            iters_per_round: self.cfg.iters_per_round,
-            faults: self.cfg.faults,
-            next_task: st.next_task,
-            active: st.active.clone(),
-            missed_broadcast: st.missed_broadcast.clone(),
-            dropouts: st.dropouts.clone(),
-            matrices: st.matrices.clone(),
-            task_compute: st.task_compute.clone(),
-            task_comm: st.task_comm.clone(),
-            task_loss: st.task_loss.clone(),
-            total_bytes: st.total_bytes,
-            prev_global: st.prev_global.clone(),
-            last_global: st.last_global.clone(),
-            fault_log: st.fault_log.clone(),
-            rng_states: st.rngs.iter().map(|r| r.state().to_vec()).collect(),
+        engine.checkpoint(
+            rngs.iter().map(|r| r.state().to_vec()).collect(),
             client_params,
-        }
+        )
     }
 
-    /// Validate a checkpoint against this simulation and rebuild the
-    /// driver state, restoring client parameters and RNG streams.
-    fn restore_state(&mut self, ck: &SimCheckpoint) -> Result<RunState, SimError> {
-        let n = self.clients.len();
+    /// Restore the client half of a checkpoint the engine accepted:
+    /// per-client parameters, and the RNG streams (returned).
+    fn restore_clients(&mut self, ck: &SimCheckpoint) -> Result<Vec<StdRng>, SimError> {
         let bad = |msg: String| SimError::BadCheckpoint(msg);
-        if ck.version != SimCheckpoint::VERSION {
-            return Err(bad(format!(
-                "version {} (this build reads {})",
-                ck.version,
-                SimCheckpoint::VERSION
-            )));
-        }
-        let method = self.clients[0].method_name();
-        if ck.method != method {
-            return Err(bad(format!(
-                "checkpoint is for method '{}', simulation runs '{method}'",
-                ck.method
-            )));
-        }
-        if ck.seed != self.cfg.seed
-            || ck.rounds_per_task != self.cfg.rounds_per_task
-            || ck.iters_per_round != self.cfg.iters_per_round
-            || ck.faults != self.cfg.faults
-        {
-            return Err(bad(
-                "seed, loop shape, or fault config differs from the interrupted run".into(),
-            ));
-        }
-        if ck.active.len() != n
-            || ck.missed_broadcast.len() != n
-            || ck.matrices.len() != n
-            || ck.rng_states.len() != n
-            || ck.client_params.len() != n
-        {
-            return Err(bad(format!(
-                "checkpoint holds {} clients, simulation has {n}",
-                ck.client_params.len()
-            )));
-        }
-        if ck.next_task > self.data[0].tasks.len() {
-            return Err(bad(format!(
-                "checkpoint resumes at task {}, stream has {}",
-                ck.next_task,
-                self.data[0].tasks.len()
-            )));
-        }
-        let mut rngs = Vec::with_capacity(n);
+        let mut rngs = Vec::with_capacity(ck.rng_states.len());
         for (c, words) in ck.rng_states.iter().enumerate() {
             let state: [u64; 4] = words.as_slice().try_into().map_err(|_| {
                 bad(format!(
@@ -561,321 +460,101 @@ impl Simulation {
             let mut scratch = substream(0, 0xC0DE ^ c as u64);
             self.clients[c].restore_checkpoint(&saved.params, &mut scratch);
         }
-        Ok(RunState {
-            next_task: ck.next_task,
-            rngs,
-            active: ck.active.clone(),
-            missed_broadcast: ck.missed_broadcast.clone(),
-            dropouts: ck.dropouts.clone(),
-            matrices: ck.matrices.clone(),
-            task_compute: ck.task_compute.clone(),
-            task_comm: ck.task_comm.clone(),
-            task_loss: ck.task_loss.clone(),
-            total_bytes: ck.total_bytes,
-            prev_global: ck.prev_global.clone(),
-            last_global: ck.last_global.clone(),
-            fault_log: ck.fault_log.clone(),
-        })
+        Ok(rngs)
     }
 
-    /// Run the remaining tasks and assemble the report.
-    fn drive(&mut self, mut st: RunState) -> Result<SimReport, SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        // At high client counts, head-sample client spans (anomalous
-        // clients still record) unless the user pinned a rate.
-        let n = self.clients.len();
-        if n > 256 && std::env::var_os(fedknow_obs::ENV_SPAN_SAMPLE).is_none() {
-            fedknow_obs::set_span_sample((n / 256) as u64);
-        }
-        self.register_obs_context();
-        let obs_before = fedknow_obs::snapshot();
-        let run_span = fedknow_obs::span("run");
-        let num_tasks = self.data[0].tasks.len();
-        self.advance(&mut st, num_tasks)?;
-
-        // Close the run span before diffing so its duration is included,
-        // then attribute this run's metrics by snapshot difference.
-        drop(run_span);
-        let phase_breakdown = obs_before.and_then(|before| {
-            fedknow_obs::snapshot().map(|after| PhaseBreakdown::from_metrics(&after.since(&before)))
-        });
-        fedknow_obs::flush();
-
-        Ok(SimReport {
-            method: self.clients[0].method_name().to_string(),
-            accuracy: mean_matrix(&st.matrices),
-            task_compute_seconds: st.task_compute,
-            task_comm_seconds: st.task_comm,
-            total_bytes: st.total_bytes,
-            dropouts: st.dropouts,
-            task_mean_loss: st.task_loss,
-            phase_breakdown,
-            fault_log: st.fault_log,
-        })
-    }
-
-    /// Advance the task loop from `st.next_task` up to (not including)
-    /// `until`.
-    fn advance(&mut self, st: &mut RunState, until: usize) -> Result<(), SimError> {
-        let n = self.clients.len();
-        let plan = FaultPlan::new(self.cfg.seed, self.cfg.faults);
-        let inert = plan.config().is_inert();
-        let deadline_factor = plan.config().deadline_factor;
-
-        for step in st.next_task..until {
+    /// Drive the task loop from the engine's next task up to (not
+    /// including) `until`, calling clients in process. The engine keeps
+    /// the ledger; this driver only carries data between it and the
+    /// clients.
+    fn advance(
+        &mut self,
+        engine: &mut RoundEngine,
+        rngs: &mut [StdRng],
+        until: usize,
+    ) -> Result<(), SimError> {
+        let (iters, model_bytes) = (self.cfg.iters_per_round, self.model_bytes);
+        for step in engine.next_task()..until {
             let _task_span = fedknow_obs::obs_span!("task.{step}");
-            // Task start on every active client.
-            self.for_each_active(&st.active, &mut st.rngs, |_c, client, data, rng| {
+            self.map_clients(engine.active(), rngs, |_c, client, data, rng| {
                 client.start_task(&data.tasks[step], rng);
             });
 
-            let mut compute_secs = 0.0f64;
-            let mut comm_secs = 0.0f64;
-            let mut loss_sum = 0.0f64;
-            let mut loss_iters = 0usize;
-
             for round in 0..self.cfg.rounds_per_task {
                 let _round_span = fedknow_obs::obs_span!("round.{round}");
-                // Global round index: the ambient tag every deep
-                // instrumentation site (integrator, restorer) stamps
-                // its series points with.
-                let global_round = (step * self.cfg.rounds_per_task + round) as u64;
-                fedknow_obs::set_round(global_round);
+                // A client back from a crash is re-sent the broadcast it
+                // missed before training resumes.
+                let clients = &mut self.clients;
+                let start = engine.begin_round(round, |c, _round, global| {
+                    clients[c].receive_global(global, &mut rngs[c]);
+                    clients[c].base_comm(model_bytes).down
+                });
 
-                // Fault draws happen here, on the coordinator thread and
-                // in client order, from per-(client, round) substreams —
-                // the schedule is independent of thread count.
-                let faults = protocol::draw_round_faults(&plan, inert, &st.active, global_round);
+                // Local training and upload, parallel across
+                // participants; each upload then crosses the link faults
+                // as it would on the wire.
+                let faults = &start.faults;
+                let contributions = self.map_clients(&start.part, rngs, |c, client, data, rng| {
+                    let weight = data.tasks[step].train.len() as u64;
+                    protocol::contribute(client, rng, c, iters, weight, model_bytes)
+                        .through_link(&faults[c])
+                });
+                let close = engine.close_round(&start, contributions, 0)?;
 
-                // Rejoin: a client that crashed earlier and is back this
-                // round is re-sent the broadcast it missed (charged as a
-                // model download) before training resumes.
-                let mut rejoin_secs = vec![0.0f64; n];
-                for c in 0..n {
-                    if !st.active[c] || faults[c].crash || !st.missed_broadcast[c] {
-                        continue;
-                    }
-                    st.missed_broadcast[c] = false;
-                    if let Some(g) = &st.last_global {
-                        self.clients[c].receive_global(g, &mut st.rngs[c]);
-                        let down = self.clients[c].base_comm(self.model_bytes).down;
-                        rejoin_secs[c] = protocol::charge_rejoin(
-                            down,
-                            &self.comm,
-                            global_round,
-                            c,
-                            &mut st.total_bytes,
-                            &mut st.fault_log,
-                        );
-                    }
-                }
-
-                // Participation this round: active minus fresh crashes.
-                let part = protocol::mark_crashes(
-                    &st.active,
-                    &faults,
-                    inert,
-                    global_round,
-                    &mut st.fault_log,
-                );
-
-                // Local training, parallel across clients.
-                let outcomes = self.train_round(&part, &mut st.rngs);
-                for o in outcomes.iter().flatten() {
-                    loss_sum += o.loss_sum;
-                    loss_iters += o.iters;
-                }
-
-                // The slowest participant gates the synchronous round;
-                // stragglers run `slowdown ×` their nominal time, and an
-                // optional deadline (a multiple of the slowest *nominal*
-                // time) caps how long the server waits.
-                let flops: Vec<Option<u64>> = outcomes
-                    .iter()
-                    .map(|o| o.as_ref().map(|o| o.flops))
-                    .collect();
-                let assess = protocol::assess_compute(
-                    &flops,
-                    &self.devices,
-                    &faults,
-                    deadline_factor,
-                    global_round,
-                    &mut st.fault_log,
-                );
-                compute_secs += assess.round_compute;
-
-                // Uploads, with in-flight loss and corruption applied.
-                // `attempts` counts transmissions of the base upload
-                // (retries burn wire bytes even when they fail).
-                let mut uploads: Vec<Option<Vec<f32>>> = Vec::with_capacity(n);
-                let mut weights: Vec<usize> = Vec::with_capacity(n);
-                let mut attempts = vec![0u32; n];
-                let mut backoff = vec![0.0f64; n];
-                for c in 0..n {
-                    if !part[c] {
-                        uploads.push(None);
-                        weights.push(0);
-                        continue;
-                    }
-                    weights.push(self.data[c].tasks[step].train.len());
-                    let mut up = self.clients[c].upload();
-                    let had_upload = up.is_some();
-                    let staged = protocol::stage_upload(
-                        &mut up,
-                        had_upload,
-                        &faults[c],
-                        &plan,
-                        assess.deadline_missed[c],
-                        true,
-                        global_round,
-                        c,
-                        &mut st.fault_log,
-                    );
-                    attempts[c] = staged.attempts;
-                    backoff[c] = staged.backoff;
-                    uploads.push(up);
-                }
-
-                // Aggregation; validation quarantines malformed uploads.
-                let agg = fedavg(&uploads, &weights)?;
-                protocol::quarantine_rejected(
-                    &agg.rejected,
-                    &mut uploads,
-                    global_round,
-                    &mut st.fault_log,
-                );
-                let global = agg.global;
-                protocol::fold_aggregate_telemetry(&uploads, &global, &mut st.prev_global);
-
-                // Method payload exchange through the server (e.g.
-                // FedWEIT adaptive weights).
-                let mut payloads: Vec<Payload> = Vec::new();
-                let mut payload_up = vec![0u64; n];
-                for (c, client) in self.clients.iter_mut().enumerate() {
-                    if !part[c] {
-                        continue;
-                    }
-                    for mut p in client.payload_out() {
-                        p.from_client = c;
-                        payload_up[c] += p.size_bytes();
-                        payloads.push(p);
-                    }
-                }
-                let payload_total: u64 = payloads.iter().map(|p| p.size_bytes()).sum();
-
-                // Communication accounting (per client, gated by the
-                // slowest link; lost attempts burn bytes, retry backoff
-                // and rejoin downloads are charged as link time).
-                let mut base = vec![CommBytes::default(); n];
-                let mut extra = vec![CommBytes::default(); n];
-                for c in 0..n {
-                    if part[c] {
-                        extra[c] = self.clients[c].extra_comm();
-                        base[c] = self.clients[c].base_comm(self.model_bytes);
-                    }
-                }
-                let round_comm = protocol::account_comm(
-                    &protocol::RoundCommInputs {
-                        part: &part,
-                        base: &base,
-                        extra: &extra,
-                        payload_up: &payload_up,
-                        payload_total,
-                        attempts: &attempts,
-                        backoff: &backoff,
-                        rejoin_secs: &rejoin_secs,
-                        have_global: global.is_some(),
-                    },
-                    &self.comm,
-                    &mut st.total_bytes,
-                );
-                comm_secs += round_comm;
-
-                // Per-round telemetry fold: cohorted client compute
-                // times, slowest-decile anomaly marking (those clients'
-                // spans bypass head sampling), and the streaming health
-                // engine's SLO update.
-                protocol::fold_round_telemetry(
-                    global_round,
-                    &st.active,
-                    &part,
-                    &faults,
-                    &assess.actual,
-                    uploads.iter().filter(|u| u.is_some()).count() as u64,
-                    agg.rejected.len() as u64,
-                    assess.round_compute + round_comm,
-                    0,
-                );
-
-                // Broadcast the aggregated model and the payload set;
-                // crashed clients miss it and are owed a rejoin.
-                if let Some(g) = &global {
-                    self.receive_round(&part, &mut st.rngs, g);
-                    for (c, &went) in part.iter().enumerate() {
-                        if st.active[c] && !went {
-                            st.missed_broadcast[c] = true;
+                // Broadcast the aggregate and the payload set to the
+                // participants.
+                if close.global.is_some() || !close.payloads.is_empty() {
+                    self.map_clients(&start.part, rngs, |_c, client, _data, rng| {
+                        if let Some(g) = &close.global {
+                            client.receive_global(g, rng);
                         }
-                    }
-                    st.last_global = Some(g.clone());
-                }
-                if !payloads.is_empty() {
-                    let payloads = &payloads;
-                    self.for_each_active(&part, &mut st.rngs, |_c, client, _data, rng| {
-                        client.payloads_in(payloads, rng);
+                        if !close.payloads.is_empty() {
+                            client.payloads_in(&close.payloads, rng);
+                        }
                     });
                 }
             }
 
-            // Task end: consolidate knowledge, then check memory budgets.
-            self.for_each_active(&st.active, &mut st.rngs, |_c, client, _data, rng| {
+            // Task end: consolidate knowledge, then report retained
+            // state for the memory check and evaluate every client.
+            self.map_clients(engine.active(), rngs, |_c, client, _data, rng| {
                 client.finish_task(rng);
             });
-            for (c, is_active) in st.active.iter_mut().enumerate() {
-                if *is_active && self.devices[c].would_oom(self.clients[c].retained_bytes()) {
-                    *is_active = false;
-                    st.dropouts.push((c, step));
-                }
-            }
-
-            // Evaluation row: every client, all learned tasks (dropped
-            // clients keep their stale model).
+            let retained: Vec<u64> = self
+                .clients
+                .iter()
+                .zip(engine.active())
+                .map(|(client, &a)| if a { client.retained_bytes() } else { 0 })
+                .collect();
             let rows = self.evaluate_all(step);
-            for (m, row) in st.matrices.iter_mut().zip(rows) {
-                m.push_row(row)?;
-            }
-            if fedknow_obs::is_enabled() {
-                protocol::record_forgetting(&st.matrices, step);
-            }
-
-            st.task_compute.push(compute_secs);
-            st.task_comm.push(comm_secs);
-            st.task_loss.push(if loss_iters > 0 {
-                loss_sum / loss_iters as f64
-            } else {
-                0.0
-            });
-            st.next_task = step + 1;
+            engine.close_task(&retained, rows)?;
         }
         Ok(())
     }
 
-    /// Apply `f(index, client, data, rng)` to every active client, in
-    /// parallel when configured. Determinism holds because each client's
-    /// randomness comes only from its own stream.
-    fn for_each_active<F>(&mut self, active: &[bool], rngs: &mut [StdRng], f: F)
+    /// Apply `f(index, client, data, rng)` to every client in `mask`, in
+    /// parallel when configured, and return the results by client
+    /// (`None` outside the mask). Determinism holds because each
+    /// client's randomness comes only from its own stream.
+    fn map_clients<R, F>(&mut self, mask: &[bool], rngs: &mut [StdRng], f: F) -> Vec<Option<R>>
     where
-        F: Fn(usize, &mut dyn FclClient, &ClientDataset, &mut StdRng) + Sync,
+        R: Send,
+        F: Fn(usize, &mut dyn FclClient, &ClientDataset, &mut StdRng) -> R + Sync,
     {
         let data = &self.data;
-        let mut jobs: Vec<(usize, &mut Box<dyn FclClient>, &mut StdRng)> = self
+        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(mask.len()).collect();
+        let mut jobs: Vec<_> = self
             .clients
             .iter_mut()
             .zip(rngs.iter_mut())
+            .zip(out.iter_mut())
             .enumerate()
-            .filter(|(c, _)| active[*c])
-            .map(|(c, (client, rng))| (c, client, rng))
+            .filter(|(c, _)| mask[*c])
             .collect();
+        let run = |c: usize, client: &mut dyn FclClient, rng: &mut StdRng, slot: &mut Option<R>| {
+            let _client_span = fedknow_obs::client_span(c as u64);
+            *slot = Some(f(c, client, &data[c], rng));
+        };
         if self.cfg.parallel && jobs.len() > 1 {
             let threads = std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -884,56 +563,24 @@ impl Simulation {
             // Worker threads start with empty span stacks; hand them the
             // parent path so client spans nest under run/task/round.
             let parent = fedknow_obs::current_path();
-            let parent = &parent;
+            let (parent, run) = (&parent, &run);
             crossbeam::thread::scope(|s| {
                 for chunk_jobs in jobs.chunks_mut(chunk) {
-                    s.spawn(|_| {
+                    s.spawn(move |_| {
                         let _path = fedknow_obs::inherit_path(parent);
-                        for (c, client, rng) in chunk_jobs.iter_mut() {
-                            let _client_span = fedknow_obs::client_span(*c as u64);
-                            f(*c, client.as_mut(), &data[*c], rng);
+                        for (c, ((client, rng), slot)) in chunk_jobs.iter_mut() {
+                            run(*c, client.as_mut(), rng, slot);
                         }
                     });
                 }
             })
             .expect("worker thread panicked");
         } else {
-            for (c, client, rng) in jobs {
-                let _client_span = fedknow_obs::client_span(c as u64);
-                f(c, client.as_mut(), &data[c], rng);
+            for (c, ((client, rng), slot)) in jobs {
+                run(c, client.as_mut(), rng, slot);
             }
         }
-    }
-
-    /// Run `iters_per_round` iterations on every participating client;
-    /// returns per-client outcome (`None` for absent clients).
-    fn train_round(&mut self, active: &[bool], rngs: &mut [StdRng]) -> Vec<Option<RoundOutcome>> {
-        let iters = self.cfg.iters_per_round;
-        let results: Vec<parking_lot::Mutex<Option<RoundOutcome>>> = (0..self.clients.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        self.for_each_active(active, rngs, |c, client, _data, rng| {
-            let mut flops = 0u64;
-            let mut loss_sum = 0.0f64;
-            for _ in 0..iters {
-                let stats = client.train_iteration(rng);
-                flops += stats.flops;
-                loss_sum += stats.loss;
-            }
-            *results[c].lock() = Some(RoundOutcome {
-                flops,
-                loss_sum,
-                iters,
-            });
-        });
-        results.into_iter().map(|m| m.into_inner()).collect()
-    }
-
-    /// Broadcast the global model to the given clients.
-    fn receive_round(&mut self, active: &[bool], rngs: &mut [StdRng], global: &[f32]) {
-        self.for_each_active(active, rngs, |_c, client, _data, rng| {
-            client.receive_global(global, rng);
-        });
+        out
     }
 
     /// Evaluate every client (dropped ones included — they keep a stale
@@ -946,16 +593,14 @@ impl Simulation {
         let mut scratch: Vec<StdRng> = (0..self.clients.len())
             .map(|c| substream(0, c as u64))
             .collect();
-        let results: Vec<parking_lot::Mutex<Vec<f64>>> = (0..self.clients.len())
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
-            .collect();
-        self.for_each_active(&all, &mut scratch, |c, client, data, _rng| {
-            let row: Vec<f64> = (0..=step)
+        self.map_clients(&all, &mut scratch, |_c, client, data, _rng| {
+            (0..=step)
                 .map(|k| client.evaluate(&data.tasks[k]))
-                .collect();
-            *results[c].lock() = row;
-        });
-        results.into_iter().map(|m| m.into_inner()).collect()
+                .collect()
+        })
+        .into_iter()
+        .map(Option::unwrap_or_default)
+        .collect()
     }
 }
 
@@ -963,7 +608,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::client::{FclClient, IterationStats};
-    use crate::faults::RoundFaults;
+    use crate::faults::{FaultPlan, RoundFaults};
     use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 
     /// Minimal client: a 4-parameter vector that drifts upward each

@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 // These fire once per training iteration on every client — the hottest
 // instrument sites in the workspace — so they use pre-registered
 // handles instead of the name-lookup string API.
-static CONV_FWD_NS: HistHandle = HistHandle::new("conv.fwd_ns");
-static CONV_BWD_NS: HistHandle = HistHandle::new("conv.bwd_ns");
+static MODEL_FWD_NS: HistHandle = HistHandle::new("model.fwd_ns");
+static MODEL_BWD_NS: HistHandle = HistHandle::new("model.bwd_ns");
 static TRAIN_BATCH_NS: HistHandle = HistHandle::new("train.batch_ns");
 static TRAIN_STEP_NS: HistHandle = HistHandle::new("train.step_ns");
 
@@ -78,11 +78,11 @@ impl LocalTrainer {
             return 0.0;
         }
         let logits = {
-            let _t = CONV_FWD_NS.timer();
+            let _t = MODEL_FWD_NS.timer();
             self.model.forward(x.clone(), true)
         };
         let (loss, grad) = cross_entropy(&logits, labels);
-        let _t = CONV_BWD_NS.timer();
+        let _t = MODEL_BWD_NS.timer();
         self.model.backward(grad);
         loss
     }

@@ -7,7 +7,7 @@
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 use fedknow_fl::{
     CommModel, DeviceProfile, FaultConfig, FclClient, FederationRuntime, IterationStats, Payload,
-    SimConfig, SimReport, Simulation, TransportKind, WireStatsSnapshot,
+    SimConfig, SimError, SimReport, Simulation, TransportKind, WireStatsSnapshot,
 };
 use fedknow_math::SparseVec;
 
@@ -106,6 +106,41 @@ impl FclClient for PayloadClient {
     }
 }
 
+/// Stub whose retained continual-learning state grows by 6 MiB at every
+/// task boundary: the 2 GB Raspberry Pi's 10 MiB budget runs out after
+/// task 1, the other devices' budgets hold for the whole stream.
+struct GrowingClient {
+    inner: StubClient,
+    retained: u64,
+}
+
+impl FclClient for GrowingClient {
+    fn start_task(&mut self, t: &ClientTask, rng: &mut rand::rngs::StdRng) {
+        self.inner.start_task(t, rng);
+    }
+    fn train_iteration(&mut self, rng: &mut rand::rngs::StdRng) -> IterationStats {
+        self.inner.train_iteration(rng)
+    }
+    fn upload(&mut self) -> Option<Vec<f32>> {
+        self.inner.upload()
+    }
+    fn receive_global(&mut self, g: &[f32], rng: &mut rand::rngs::StdRng) {
+        self.inner.receive_global(g, rng);
+    }
+    fn finish_task(&mut self, _rng: &mut rand::rngs::StdRng) {
+        self.retained += 6 * 1024 * 1024;
+    }
+    fn evaluate(&mut self, t: &ClientTask) -> f64 {
+        self.inner.evaluate(t)
+    }
+    fn retained_bytes(&self) -> u64 {
+        self.retained
+    }
+    fn method_name(&self) -> &'static str {
+        "growing-stub"
+    }
+}
+
 const MODEL_BYTES: u64 = 400; // 100 params × 4 bytes, matches StubClient.
 
 fn tiny_data() -> Vec<fedknow_data::ClientDataset> {
@@ -125,6 +160,17 @@ fn payload_clients() -> Vec<Box<dyn FclClient>> {
             Box::new(PayloadClient {
                 inner: StubClient::new(0.5 + 0.1 * c as f64),
                 tag: 0,
+            }) as Box<dyn FclClient>
+        })
+        .collect()
+}
+
+fn growing_clients() -> Vec<Box<dyn FclClient>> {
+    (0..3)
+        .map(|c| {
+            Box::new(GrowingClient {
+                inner: StubClient::new(0.5 + 0.1 * c as f64),
+                retained: 0,
             }) as Box<dyn FclClient>
         })
         .collect()
@@ -307,4 +353,36 @@ fn payload_wire_bytes_exceed_modeled_by_the_own_payload_echo() {
         rounds * clients * own_payload,
         "surplus must be exactly the own-payload echo"
     );
+}
+
+#[test]
+fn oom_dropout_matches_simulation_on_every_backend() {
+    let want = sim_report(growing_clients(), FaultConfig::default());
+    assert_eq!(
+        want.dropouts,
+        vec![(2, 1)],
+        "the Raspberry Pi runs out of memory after task 1"
+    );
+    for kind in backends() {
+        let (got, _) = actor_report(growing_clients(), FaultConfig::default(), kind);
+        assert!(!got.dropouts.is_empty(), "backend {kind} dropped no client");
+        assert_eq!(got, want, "backend {kind} diverged on OOM dropout");
+    }
+}
+
+#[test]
+fn serve_at_an_unparsable_address_is_a_transport_error() {
+    let runtime = FederationRuntime::new(
+        stub_clients(),
+        tiny_data(),
+        devices(),
+        CommModel::paper_default(),
+        config(FaultConfig::default()),
+        MODEL_BYTES,
+        TransportKind::Tcp,
+    );
+    match runtime.serve_at("not-an-address") {
+        Err(SimError::Transport(msg)) => assert!(!msg.is_empty()),
+        other => panic!("expected a transport error, got {other:?}"),
+    }
 }

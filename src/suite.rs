@@ -164,7 +164,7 @@ impl RunSpec {
         let data = parts.swap_remove(c);
         let stats = std::sync::Arc::new(fedknow_fl::transport::WireStats::new());
         let transport = fedknow_fl::transport::tcp_connector(addr, stats)
-            .map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
+            .map_err(|e| SimError::Transport(e.to_string()))?;
         fedknow_fl::run_remote_client(
             transport,
             client_id,

@@ -30,8 +30,8 @@ fn obs_attributes_time_to_every_paper_phase() {
         "restore.distill_ns",   // gradient restoration (Eq. 2)
         "qp.solve_ns",          // gradient integration (Eqs. 3-5)
         "fedavg.aggregate_ns",  // server aggregation
-        "conv.fwd_ns",          // network forward
-        "conv.bwd_ns",          // network backward
+        "model.fwd_ns",         // whole-model forward
+        "model.bwd_ns",         // whole-model backward
         "comm.sim_transfer_ns", // simulated link time
         "span.run_ns",          // whole-run span
     ] {
