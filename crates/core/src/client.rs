@@ -97,18 +97,23 @@ impl FedKnowClient {
             return;
         }
         let (x, labels) = self.trainer.next_batch(rng);
-        self.trainer.compute_grads(&x, &labels);
+        let (_, logits) = self.trainer.compute_grads_with_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
-        self.selected = self.restorer.select_signature_tasks(
+        self.selected = self.restorer.select_with_logits(
             &mut self.trainer.model,
-            &self.knowledges,
             &x,
+            &logits,
+            &self.knowledges,
             &g,
             self.cfg.k,
             self.cfg.metric,
         );
         // Selection restores all m candidates: m × (4/3) iterations of
-        // work, plus the probe forward/backward.
+        // work, plus the probe forward/backward. The 4/3 charges each
+        // restore a student forward of its own, although all restores
+        // share the probe's: simulated device time feeds deadline
+        // assessment, so the debit stays fixed until it is derived from
+        // counted FLOPs.
         let probe = self.trainer.iteration_flops();
         self.pending_flops += probe + self.knowledges.len() as u64 * probe * 4 / 3;
     }
@@ -123,21 +128,21 @@ impl FclClient for FedKnowClient {
 
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
-        let loss = self.trainer.compute_grads(&x, &labels);
+        let (loss, logits) = self.trainer.compute_grads_with_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
         let mut flops = self.trainer.iteration_flops() + self.pending_flops;
         self.pending_flops = 0;
         let update = if self.selected.is_empty() {
             g
         } else {
-            let restored: Vec<Vec<f32>> = self
-                .selected
-                .iter()
-                .map(|&i| {
-                    self.restorer
-                        .restore(&mut self.trainer.model, &self.knowledges[i], &x)
-                })
-                .collect();
+            let restored = self.restorer.restore_all(
+                &mut self.trainer.model,
+                &x,
+                &logits,
+                self.selected.iter().map(|&i| &self.knowledges[i]),
+            );
+            // Deliberately still 4/3 of an iteration per restore (see
+            // `reselect`).
             flops += self.selected.len() as u64 * self.trainer.iteration_flops() * 4 / 3;
             self.integrator.integrate(&g, &restored)
         };
@@ -166,9 +171,6 @@ impl FclClient for FedKnowClient {
                 .map_or(epoch, |n| n.min(epoch.max(1)));
             for _ in 0..iters {
                 let (x, labels) = self.trainer.next_batch(rng);
-                // Gradient after aggregation (at the global weights).
-                self.trainer.compute_grads(&x, &labels);
-                let g_after = self.trainer.model.flat_grads();
                 // Gradient before aggregation (at the saved local
                 // weights), on the same batch.
                 let now = self.trainer.model.flat_params();
@@ -176,17 +178,22 @@ impl FclClient for FedKnowClient {
                 self.trainer.compute_grads(&x, &labels);
                 let g_before = self.trainer.model.flat_grads();
                 self.trainer.model.set_flat_params(&now);
+                // Gradient after aggregation (at the global weights); the
+                // restores below share its forward.
+                let (_, logits) = self.trainer.compute_grads_with_logits(&x, &labels);
+                let g_after = self.trainer.model.flat_grads();
                 // Constraints: the post-aggregation gradient (negative-
                 // transfer prevention) plus the signature-task gradients
                 // (the fine-tune must not undo forgetting prevention).
                 let mut constraints = vec![g_after];
-                for &i in &self.selected {
-                    constraints.push(self.restorer.restore(
-                        &mut self.trainer.model,
-                        &self.knowledges[i],
-                        &x,
-                    ));
-                }
+                constraints.extend(self.restorer.restore_all(
+                    &mut self.trainer.model,
+                    &x,
+                    &logits,
+                    self.selected.iter().map(|&i| &self.knowledges[i]),
+                ));
+                // Deliberately still 4/3 of an iteration per restore (see
+                // `reselect`).
                 self.pending_flops +=
                     self.selected.len() as u64 * self.trainer.iteration_flops() * 4 / 3;
                 let update = self.integrator.integrate(&g_before, &constraints);

@@ -83,9 +83,10 @@ impl GradientIntegrator {
     /// Integrate `g` against the signature gradients `constraints`:
     /// returns `g'` minimally rotated so `⟨g_i, g'⟩ ≥ 0` for all `i`.
     ///
-    /// Falls back to the un-rotated gradient if the QP fails to converge
-    /// (never observed with k ≤ 20, but training must not abort on a
-    /// pathological batch).
+    /// Falls back to the un-rotated gradient if the QP fails to converge,
+    /// so training never aborts on a hard batch. The fallback does occur
+    /// at small k: 6 of 231 solves (2.6%) in a default `probe` run, each
+    /// counted by `qp.fallback`.
     pub fn integrate(&self, g: &[f32], constraints: &[Vec<f32>]) -> Vec<f32> {
         if fedknow_obs::is_enabled() {
             self.record_pre_qp(g, constraints);

@@ -43,56 +43,101 @@ fn mean_row_entropy(dist: &Tensor) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct GradientRestorer;
 
+/// Train-mode forward of the live model on `x` for the standalone entry
+/// points. BatchNorm running statistics are put back afterwards, so a
+/// standalone restore leaves the model exactly as it found it.
+fn student_forward(model: &mut Model, x: &Tensor) -> Tensor {
+    let stats = model.flat_buffers();
+    let logits = model.forward(x.clone(), true);
+    model.set_flat_buffers(&stats);
+    logits
+}
+
 impl GradientRestorer {
-    /// Restore task `i`'s gradient on the batch `x` (Eq. 2).
-    ///
-    /// The model's parameters are temporarily replaced by the dense
-    /// expansion of `knowledge` (retained weights keep their value,
-    /// pruned ones are zero) to produce the pseudo-label distribution;
-    /// the gradient is then taken at the *current* weights against that
-    /// distribution. Parameters and gradient buffers are restored on
-    /// exit.
+    /// Restore task `i`'s gradient on the batch `x` (Eq. 2): one train
+    /// forward of the live model, then [`GradientRestorer::restore_all`].
+    /// Parameters and BatchNorm running statistics are as before on exit;
+    /// gradient buffers are cleared.
     pub fn restore(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Vec<f32> {
+        let logits = student_forward(model, x);
+        self.restore_all(model, x, &logits, [knowledge])
+            .pop()
+            .expect("one knowledge restores one gradient")
+    }
+
+    /// Restore the gradient of every entry of `knowledges` on the batch
+    /// `x` (Eq. 2), all from one shared student forward.
+    ///
+    /// `student_logits` must be the output of the model's most recent
+    /// `forward(x, true)`, taken at its current (live) weights. For each
+    /// knowledge the parameters are replaced by its dense expansion
+    /// (retained weights keep their value, pruned ones are zero) and an
+    /// eval forward yields the pseudo-label distribution. The live
+    /// weights are then reloaded once, and each restored gradient is the
+    /// backward of the cross-entropy between `student_logits` and one
+    /// pseudo-label distribution, through that train forward's caches
+    /// (eval forwards leave them intact; see `Layer::backward`).
+    /// Parameters are restored and gradient buffers cleared on exit.
+    pub fn restore_all<'a>(
+        &self,
+        model: &mut Model,
+        x: &Tensor,
+        student_logits: &Tensor,
+        knowledges: impl IntoIterator<Item = &'a SparseVec>,
+    ) -> Vec<Vec<f32>> {
+        let knowledges: Vec<&SparseVec> = knowledges.into_iter().collect();
+        if knowledges.is_empty() {
+            return Vec::new();
+        }
         let _t = fedknow_obs::timer("restore.distill_ns");
-        let current = model.flat_params();
-        assert_eq!(
-            knowledge.dense_len(),
-            current.len(),
-            "knowledge/model size mismatch"
-        );
-        // Pseudo-labels from the pruned snapshot (eval mode: no caches,
-        // running BN statistics).
-        model.set_flat_params(&knowledge.to_dense());
-        let teacher_logits = model.forward(x.clone(), false);
-        let target = teacher_logits.softmax_rows();
-        // Gradient of the live model against the pseudo-labels.
-        model.set_flat_params(&current);
-        model.zero_grad();
-        let logits = model.forward(x.clone(), true);
-        let (loss, grad) = soft_cross_entropy(&logits, &target);
-        if fedknow_verify::is_enabled() {
-            let (rows, cols) = (logits.shape()[0], logits.shape()[1]);
-            fedknow_verify::report(
-                "restorer.grad_rows",
-                fedknow_verify::check::grad_rows_sum_zero(grad.data(), rows, cols),
-            );
-        }
-        if fedknow_obs::is_enabled() {
-            DISTILL_LOSS_MNAT.record((loss.max(0.0) * 1000.0).round() as u64);
-            let entropy = mean_row_entropy(&target);
-            PSEUDO_ENTROPY_MNAT.record((entropy * 1000.0).round() as u64);
-            fedknow_obs::series("restore.distill_loss", loss as f64);
-            fedknow_obs::series("restore.pseudo_entropy", entropy);
-        }
-        model.backward(grad);
-        let restored = model.flat_grads();
+        let live = model.flat_params();
+        // Pseudo-labels from each pruned snapshot (eval mode: no caches,
+        // running BN statistics), all expanded into one dense buffer.
+        let mut dense = vec![0.0f32; live.len()];
+        let targets: Vec<Tensor> = knowledges
+            .iter()
+            .map(|w| {
+                assert_eq!(w.dense_len(), live.len(), "knowledge/model size mismatch");
+                dense.fill(0.0);
+                w.scatter_into(&mut dense);
+                model.set_flat_params(&dense);
+                model.forward(x.clone(), false).softmax_rows()
+            })
+            .collect();
+        // Gradients of the live model against each set of pseudo-labels.
+        model.set_flat_params(&live);
+        let restored = targets
+            .iter()
+            .map(|target| {
+                model.zero_grad();
+                let (loss, grad) = soft_cross_entropy(student_logits, target);
+                if fedknow_verify::is_enabled() {
+                    let (rows, cols) = (student_logits.shape()[0], student_logits.shape()[1]);
+                    fedknow_verify::report(
+                        "restorer.grad_rows",
+                        fedknow_verify::check::grad_rows_sum_zero(grad.data(), rows, cols),
+                    );
+                }
+                if fedknow_obs::is_enabled() {
+                    DISTILL_LOSS_MNAT.record((loss.max(0.0) * 1000.0).round() as u64);
+                    let entropy = mean_row_entropy(target);
+                    PSEUDO_ENTROPY_MNAT.record((entropy * 1000.0).round() as u64);
+                    fedknow_obs::series("restore.distill_loss", loss as f64);
+                    fedknow_obs::series("restore.pseudo_entropy", entropy);
+                }
+                model.backward(grad);
+                model.flat_grads()
+            })
+            .collect();
         model.zero_grad();
         restored
     }
 
     /// Restore gradients for every knowledge entry and rank them: returns
     /// the indices of the `k` tasks whose restored gradients are most
-    /// dissimilar from `current_grad` (the signature tasks, §III-C).
+    /// dissimilar from `current_grad` (the signature tasks, §III-C). One
+    /// train forward of the live model, then
+    /// [`GradientRestorer::select_with_logits`].
     pub fn select_signature_tasks(
         &self,
         model: &mut Model,
@@ -105,11 +150,29 @@ impl GradientRestorer {
         if knowledges.is_empty() || k == 0 {
             return Vec::new();
         }
+        let logits = student_forward(model, x);
+        self.select_with_logits(model, x, &logits, knowledges, current_grad, k, metric)
+    }
+
+    /// [`GradientRestorer::select_signature_tasks`] on the logits of the
+    /// model's most recent `forward(x, true)` (see
+    /// [`GradientRestorer::restore_all`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn select_with_logits(
+        &self,
+        model: &mut Model,
+        x: &Tensor,
+        student_logits: &Tensor,
+        knowledges: &[SparseVec],
+        current_grad: &[f32],
+        k: usize,
+        metric: DistanceMetric,
+    ) -> Vec<usize> {
+        if knowledges.is_empty() || k == 0 {
+            return Vec::new();
+        }
         let _t = fedknow_obs::timer("restore.select_ns");
-        let candidates: Vec<Vec<f32>> = knowledges
-            .iter()
-            .map(|w| self.restore(model, w, x))
-            .collect();
+        let candidates = self.restore_all(model, x, student_logits, knowledges);
         most_dissimilar(metric, current_grad, &candidates, k)
     }
 }
@@ -153,6 +216,48 @@ mod tests {
             "grad buffers must be cleared"
         );
         assert_eq!(g.len(), before.len());
+    }
+
+    #[test]
+    fn shared_restore_matches_standalone_restores_bit_for_bit() {
+        let (mut model, x) = model_and_batch();
+        let params = model.flat_params();
+        let knowledges: Vec<SparseVec> = (1..=3)
+            .map(|i| SparseVec::top_fraction_by_magnitude(&params, 0.05 * i as f64))
+            .collect();
+        let standalone: Vec<Vec<f32>> = knowledges
+            .iter()
+            .map(|w| GradientRestorer.restore(&mut model, w, &x))
+            .collect();
+        let logits = model.forward(x.clone(), true);
+        let shared = GradientRestorer.restore_all(&mut model, &x, &logits, &knowledges);
+        assert_eq!(shared.len(), knowledges.len());
+        for (i, (a, b)) in shared.iter().zip(&standalone).enumerate() {
+            assert!(
+                a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits()),
+                "knowledge {i}: shared restore differs from a standalone one"
+            );
+        }
+        assert_eq!(model.flat_params(), params);
+        assert!(model.flat_grads().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn restore_leaves_batchnorm_statistics_untouched() {
+        let mut rng = seeded(2);
+        let mut model = ModelKind::ResNet18.build(&mut rng, 3, 10, 1.0);
+        let x = Tensor::from_vec(normal_vec(&mut rng, 4 * 3 * 8 * 8, 0.5, 2.0), &[4, 3, 8, 8]);
+        let stats = model.flat_buffers();
+        assert!(!stats.is_empty(), "ResNet18 carries BN running statistics");
+        let eval_before = model.forward(x.clone(), false);
+        let knowledge = SparseVec::top_fraction_by_magnitude(&model.flat_params(), 0.1);
+        GradientRestorer.restore(&mut model, &knowledge, &x);
+        assert_eq!(model.flat_buffers(), stats, "running statistics moved");
+        assert_eq!(
+            model.forward(x, false).data(),
+            eval_before.data(),
+            "eval forward changed"
+        );
     }
 
     #[test]

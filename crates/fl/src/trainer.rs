@@ -73,9 +73,17 @@ impl LocalTrainer {
     /// leaves gradients in the model's buffers. An empty batch is a
     /// no-op with zero loss (zero gradients), never a NaN.
     pub fn compute_grads(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+        self.compute_grads_with_logits(x, labels).0
+    }
+
+    /// [`LocalTrainer::compute_grads`] that also returns the training
+    /// logits. The model keeps that forward's caches, so further losses
+    /// on the same logits can be backpropagated without another forward.
+    /// An empty batch returns `[0, classes]` logits and runs no forward.
+    pub fn compute_grads_with_logits(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         self.model.zero_grad();
         if labels.is_empty() {
-            return 0.0;
+            return (0.0, Tensor::zeros(&[0, self.model.num_classes()]));
         }
         let logits = {
             let _t = MODEL_FWD_NS.timer();
@@ -84,7 +92,7 @@ impl LocalTrainer {
         let (loss, grad) = cross_entropy(&logits, labels);
         let _t = MODEL_BWD_NS.timer();
         self.model.backward(grad);
-        loss
+        (loss, logits)
     }
 
     /// One plain SGD iteration on the current task. Returns the loss.

@@ -97,6 +97,13 @@ impl Layer for Residual {
         }
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        self.main.visit_buffers(v);
+        if let Some(s) = &mut self.shortcut {
+            s.visit_buffers(v);
+        }
+    }
+
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
         let (fm, out) = self.main.flops(in_shape);
         let fs = match &self.shortcut {
@@ -175,7 +182,7 @@ impl Layer for SEScale {
     fn backward(&mut self, grad: Tensor) -> Tensor {
         let x = self
             .cached_input
-            .take()
+            .as_ref()
             .expect("backward before forward(train)");
         let s = x.shape().to_vec();
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -299,6 +306,12 @@ impl Layer for Concat {
         }
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for br in &mut self.branches {
+            br.visit_buffers(v);
+        }
+    }
+
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
         let mut total = 0;
         let mut channels = 0;
@@ -382,6 +395,12 @@ impl Layer for SplitConcat {
     fn zero_grad(&mut self) {
         for br in &mut self.branches {
             br.zero_grad();
+        }
+    }
+
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for br in &mut self.branches {
+            br.visit_buffers(v);
         }
     }
 

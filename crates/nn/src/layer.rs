@@ -5,6 +5,8 @@
 //! *accumulates* parameter gradients into per-layer grad buffers while
 //! returning the gradient with respect to the layer input. A training step
 //! is therefore `zero_grad → forward(train=true) → backward → optimiser`.
+//! One train forward may feed several backwards (one per loss on the same
+//! outputs), and eval forwards in between leave its caches intact.
 
 use fedknow_math::Tensor;
 
@@ -34,6 +36,13 @@ pub trait Layer: Send {
 
     /// Backward pass: consume ∂L/∂output, accumulate parameter gradients,
     /// return ∂L/∂input.
+    ///
+    /// Backward reads the caches of the last `forward(train = true)` by
+    /// reference, so it may run any number of times after one train
+    /// forward; each run accumulates into the grad buffers. A
+    /// `forward(train = false)` in between writes no cache, so those
+    /// backwards still differentiate the train forward — at the
+    /// parameters current when backward runs.
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
     /// Visit every (parameter, gradient) pair in a deterministic order.
@@ -42,6 +51,11 @@ pub trait Layer: Send {
 
     /// Zero all gradient buffers. Default no-op for parameter-free layers.
     fn zero_grad(&mut self) {}
+
+    /// Visit every non-trainable state buffer (BatchNorm running
+    /// statistics) in a deterministic order. Default no-op for layers
+    /// without such state.
+    fn visit_buffers(&mut self, _v: &mut dyn FnMut(&mut [f32])) {}
 
     /// Approximate FLOPs of one forward pass at the given input shape,
     /// and the output shape the layer produces. Drives the edge-device
@@ -141,6 +155,12 @@ impl Layer for Sequential {
     fn zero_grad(&mut self) {
         for l in &mut self.layers {
             l.zero_grad();
+        }
+    }
+
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for l in &mut self.layers {
+            l.visit_buffers(v);
         }
     }
 

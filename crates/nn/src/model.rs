@@ -152,6 +152,27 @@ impl Model {
             });
     }
 
+    /// Copy all non-trainable state buffers (BatchNorm running
+    /// statistics) into one flat vector, in a stable order. Empty for
+    /// models without such state.
+    pub fn flat_buffers(&mut self) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.root
+            .visit_buffers(&mut |b: &mut [f32]| out.extend_from_slice(b));
+        out
+    }
+
+    /// Overwrite all state buffers from a vector taken by
+    /// [`Model::flat_buffers`]. Panics on length mismatch.
+    pub fn set_flat_buffers(&mut self, flat: &[f32]) {
+        let mut off = 0usize;
+        self.root.visit_buffers(&mut |b: &mut [f32]| {
+            b.copy_from_slice(&flat[off..off + b.len()]);
+            off += b.len();
+        });
+        assert_eq!(off, flat.len(), "flat buffer length mismatch");
+    }
+
     /// `w ← w − lr · update` over the flat view, without materialising the
     /// parameter vector.
     pub fn apply_update(&mut self, update: &[f32], lr: f32) {

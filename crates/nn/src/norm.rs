@@ -172,6 +172,11 @@ impl Layer for BatchNorm2d {
         self.grad_beta.data_mut().fill(0.0);
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        v(&mut self.running_mean);
+        v(&mut self.running_var);
+    }
+
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
         (
             4 * in_shape.iter().product::<usize>() as u64,

@@ -11,13 +11,17 @@
 //!    1, 2, 4 and 8 threads are bit-identical. Federated rounds rely on
 //!    this: a client's update must not depend on how many cores its edge
 //!    device has.
+//! 3. **One train forward serves many backwards.** A backward after an
+//!    earlier backward and an eval forward gives the same gradients as
+//!    one after a fresh train forward — what lets FedKNOW's gradient
+//!    restorer share the student forward across all restored tasks.
 
 use fedknow_math::rng::seeded;
 use fedknow_math::{parallel, pool, Tensor};
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::loss::cross_entropy;
 use fedknow_nn::models::six_cnn;
-use fedknow_nn::Layer;
+use fedknow_nn::{Layer, ModelKind};
 
 fn input(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = seeded(seed);
@@ -135,4 +139,40 @@ fn workspace_reuse_is_bit_identical_to_fresh_allocation() {
     let fresh = run(false);
     assert_eq!(pooled.0, fresh.0, "logits differ with pooling enabled");
     assert_eq!(pooled.1, fresh.1, "params differ with pooling enabled");
+}
+
+/// Flat gradient bits of a model.
+fn grad_bits(m: &mut fedknow_nn::Model) -> Vec<u32> {
+    m.flat_grads().iter().map(|v| v.to_bits()).collect()
+}
+
+/// For every architecture: forward(train) → backward(g₁) → eval forward
+/// → zero_grad → backward(g₂) leaves exactly the gradients of a fresh
+/// forward(train) → backward(g₂). Backward must read its train caches
+/// without consuming them, and an eval forward must not overwrite them.
+#[test]
+fn repeated_backward_after_eval_forward_matches_fresh_forward() {
+    let x = input(&[2, 3, 8, 8], 49);
+    let g1 = input(&[2, 5], 50);
+    let g2 = input(&[2, 5], 51);
+    for kind in ModelKind::ALL {
+        let mut shared = kind.build(&mut seeded(52), 3, 5, 1.0);
+        shared.forward(x.clone(), true);
+        shared.zero_grad();
+        let _ = shared.backward(g1.clone());
+        shared.forward(x.clone(), false);
+        shared.zero_grad();
+        let _ = shared.backward(g2.clone());
+
+        let mut fresh = kind.build(&mut seeded(52), 3, 5, 1.0);
+        fresh.forward(x.clone(), true);
+        fresh.zero_grad();
+        let _ = fresh.backward(g2.clone());
+        assert_eq!(
+            grad_bits(&mut shared),
+            grad_bits(&mut fresh),
+            "{}: second backward differs from a fresh one",
+            kind.name()
+        );
+    }
 }
