@@ -4,7 +4,7 @@
 use crate::config::FedKnowConfig;
 use crate::extractor::KnowledgeExtractor;
 use crate::integrator::GradientIntegrator;
-use crate::restorer::GradientRestorer;
+use crate::restorer::{GradientRestorer, PseudoLabelCache};
 use fedknow_data::ClientTask;
 use fedknow_fl::{FclClient, IterationStats, LocalTrainer, ModelTemplate};
 use fedknow_math::SparseVec;
@@ -30,6 +30,10 @@ pub struct FedKnowClient {
     cfg: FedKnowConfig,
     extractor: KnowledgeExtractor,
     restorer: GradientRestorer,
+    /// Teacher pseudo-labels of the current task's samples; cleared
+    /// whenever sample indices change meaning. Knowledge indices stay
+    /// valid because `finish_task` only appends.
+    pseudo: PseudoLabelCache,
     integrator: GradientIntegrator,
     /// Post-aggregation fine-tune schedule (Theorem 1: O(r^{-1})).
     global_opt: Sgd,
@@ -65,6 +69,7 @@ impl FedKnowClient {
                 cfg.strategy,
             ),
             restorer: GradientRestorer,
+            pseudo: PseudoLabelCache::default(),
             integrator: GradientIntegrator::new(cfg.margin),
             global_opt,
             cfg,
@@ -96,17 +101,19 @@ impl FedKnowClient {
             self.selected.clear();
             return;
         }
-        let (x, labels) = self.trainer.next_batch(rng);
+        let (x, labels, samples) = self.trainer.next_batch_indexed(rng);
         let (_, logits) = self.trainer.compute_grads_with_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
         self.selected = self.restorer.select_with_logits(
             &mut self.trainer.model,
             &x,
+            &samples,
             &logits,
             &self.knowledges,
             &g,
             self.cfg.k,
             self.cfg.metric,
+            &mut self.pseudo,
         );
         // Selection restores all m candidates: m × (4/3) iterations of
         // work, plus the probe forward/backward. The 4/3 charges each
@@ -122,12 +129,13 @@ impl FedKnowClient {
 impl FclClient for FedKnowClient {
     fn start_task(&mut self, task: &ClientTask, rng: &mut StdRng) {
         self.trainer.set_task(task, rng);
+        self.pseudo.clear();
         self.global_opt.reset();
         self.reselect(rng);
     }
 
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
-        let (x, labels) = self.trainer.next_batch(rng);
+        let (x, labels, samples) = self.trainer.next_batch_indexed(rng);
         let (loss, logits) = self.trainer.compute_grads_with_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
         let mut flops = self.trainer.iteration_flops() + self.pending_flops;
@@ -138,8 +146,10 @@ impl FclClient for FedKnowClient {
             let restored = self.restorer.restore_all(
                 &mut self.trainer.model,
                 &x,
+                &samples,
                 &logits,
-                self.selected.iter().map(|&i| &self.knowledges[i]),
+                self.selected.iter().map(|&i| (i, &self.knowledges[i])),
+                &mut self.pseudo,
             );
             // Deliberately still 4/3 of an iteration per restore (see
             // `reselect`).
@@ -170,7 +180,7 @@ impl FclClient for FedKnowClient {
                 .post_agg_iters
                 .map_or(epoch, |n| n.min(epoch.max(1)));
             for _ in 0..iters {
-                let (x, labels) = self.trainer.next_batch(rng);
+                let (x, labels, samples) = self.trainer.next_batch_indexed(rng);
                 // Gradient before aggregation (at the saved local
                 // weights), on the same batch.
                 let now = self.trainer.model.flat_params();
@@ -189,8 +199,10 @@ impl FclClient for FedKnowClient {
                 constraints.extend(self.restorer.restore_all(
                     &mut self.trainer.model,
                     &x,
+                    &samples,
                     &logits,
-                    self.selected.iter().map(|&i| &self.knowledges[i]),
+                    self.selected.iter().map(|&i| (i, &self.knowledges[i])),
+                    &mut self.pseudo,
                 ));
                 // Deliberately still 4/3 of an iteration per restore (see
                 // `reselect`).
@@ -232,6 +244,9 @@ impl FclClient for FedKnowClient {
         self.trainer.evaluate_task(task)
     }
 
+    /// The retained knowledge only: the pseudo-label cache is per-task
+    /// working memory that can always be recomputed, so it stays out of
+    /// the OOM ledger.
     fn retained_bytes(&self) -> u64 {
         self.knowledges.iter().map(|k| k.size_bytes() as u64).sum()
     }
@@ -282,6 +297,7 @@ impl FclClient for FedKnowClient {
                 .push(SparseVec::new(dense_len, indices, values));
         }
         self.selected.clear();
+        self.pseudo.clear();
     }
 
     fn method_name(&self) -> &'static str {

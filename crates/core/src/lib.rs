@@ -33,4 +33,4 @@ pub use client::FedKnowClient;
 pub use config::FedKnowConfig;
 pub use extractor::{ExtractionStrategy, KnowledgeExtractor};
 pub use integrator::GradientIntegrator;
-pub use restorer::GradientRestorer;
+pub use restorer::{GradientRestorer, PseudoLabelCache};

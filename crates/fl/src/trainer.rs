@@ -63,10 +63,19 @@ impl LocalTrainer {
 
     /// Draw the next minibatch of the current task.
     pub fn next_batch(&mut self, rng: &mut StdRng) -> (Tensor, Vec<usize>) {
+        let (x, labels, _) = self.next_batch_indexed(rng);
+        (x, labels)
+    }
+
+    /// [`LocalTrainer::next_batch`] that also returns each row's index
+    /// into the current task's training samples — a stable key for
+    /// per-sample state that lives until the next `set_task`.
+    pub fn next_batch_indexed(&mut self, rng: &mut StdRng) -> (Tensor, Vec<usize>, Vec<usize>) {
         let batcher = self.batcher.as_mut().expect("set_task before next_batch");
         let idx: Vec<usize> = batcher.next_batch(rng).to_vec();
         let samples: Vec<&Sample> = idx.iter().map(|&i| &self.train_data[i]).collect();
-        to_tensor(&samples, &self.image_shape)
+        let (x, labels) = to_tensor(&samples, &self.image_shape);
+        (x, labels, idx)
     }
 
     /// Zero grads, forward, cross-entropy, backward. Returns the loss and
@@ -199,6 +208,20 @@ mod tests {
         let acc = t.evaluate_task(&task);
         let chance = 1.0 / task.classes.len() as f64;
         assert!(acc > 2.0 * chance, "accuracy {acc} vs chance {chance}");
+    }
+
+    #[test]
+    fn indexed_batch_rows_are_the_named_samples() {
+        let (mut t, task) = setup();
+        let mut rng = seeded(5);
+        t.set_task(&task, &mut rng);
+        let (x, labels, idx) = t.next_batch_indexed(&mut rng);
+        assert_eq!(idx.len(), labels.len());
+        let row = x.len() / idx.len();
+        for (r, &i) in idx.iter().enumerate() {
+            assert_eq!(labels[r], task.train[i].label);
+            assert_eq!(&x.data()[r * row..(r + 1) * row], &task.train[i].x[..]);
+        }
     }
 
     #[test]

@@ -58,23 +58,63 @@ pub fn wasserstein_1d(a: &[f32], b: &[f32]) -> f64 {
     }
     let c = crate::flops::wasserstein(a.len());
     PERF_WASSERSTEIN.op(c.flops, c.bytes);
-    if !all_finite(a) || !all_finite(b) {
-        return f64::INFINITY;
+    match (sorted_finite(a), sorted_finite(b)) {
+        (Some(sa), Some(sb)) => sorted_distance(&sa, &sb),
+        _ => f64::INFINITY,
     }
-    let mut sa: Vec<f32> = a.to_vec();
-    let mut sb: Vec<f32> = b.to_vec();
-    sa.sort_unstable_by(f32::total_cmp);
-    sb.sort_unstable_by(f32::total_cmp);
-    let total: f64 = sa
-        .iter()
-        .zip(&sb)
-        .map(|(&x, &y)| ((x - y).abs()) as f64)
-        .sum();
-    total / a.len() as f64
 }
 
-fn all_finite(v: &[f32]) -> bool {
-    v.iter().all(|x| x.is_finite())
+/// A sorted copy of `v`, or `None` if it holds a NaN or an infinity.
+fn sorted_finite(v: &[f32]) -> Option<Vec<f32>> {
+    if !v.iter().all(|x| x.is_finite()) {
+        return None;
+    }
+    let mut sorted = v.to_vec();
+    sorted.sort_unstable_by(f32::total_cmp);
+    Some(sorted)
+}
+
+/// Mean absolute difference of two sorted, equal-length, non-empty
+/// samples: the 1-D Wasserstein distance between them.
+fn sorted_distance(sa: &[f32], sb: &[f32]) -> f64 {
+    let total: f64 = sa
+        .iter()
+        .zip(sb)
+        .map(|(&x, &y)| ((x - y).abs()) as f64)
+        .sum();
+    total / sa.len() as f64
+}
+
+/// [`wasserstein_1d`] of `reference` against each candidate, with the
+/// reference screened and sorted once rather than once per pair. Each
+/// distance is bit-identical to the per-pair one: the same sorted arrays
+/// summed in the same order. Charges the work done — one reference sort,
+/// then one sort and one sweep per candidate.
+fn wasserstein_scores(reference: &[f32], candidates: &[Vec<f32>]) -> Vec<f64> {
+    let n = reference.len();
+    for c in candidates {
+        assert_eq!(c.len(), n, "gradient lengths differ");
+    }
+    if n == 0 || candidates.is_empty() {
+        return vec![0.0; candidates.len()];
+    }
+    let (sort, sweep) = (
+        crate::flops::wasserstein_sort(n),
+        crate::flops::wasserstein_sweep(n),
+    );
+    let m = candidates.len() as u64;
+    PERF_WASSERSTEIN.op(
+        (m + 1) * sort.flops + m * sweep.flops,
+        (m + 1) * sort.bytes + m * sweep.bytes,
+    );
+    let sorted_ref = sorted_finite(reference);
+    candidates
+        .iter()
+        .map(|c| match (&sorted_ref, sorted_finite(c)) {
+            (Some(sr), Some(sc)) => sorted_distance(sr, &sc),
+            _ => f64::INFINITY,
+        })
+        .collect()
 }
 
 /// `1 − cosine similarity`. Ranges over `[0, 2]`; `0` for parallel,
@@ -114,16 +154,20 @@ pub fn most_dissimilar(
     candidates: &[Vec<f32>],
     k: usize,
 ) -> Vec<usize> {
-    let mut scored: Vec<(usize, f64)> = candidates
-        .iter()
-        .enumerate()
+    let scores = match metric {
+        DistanceMetric::Wasserstein => wasserstein_scores(reference, candidates),
+        _ => candidates
+            .iter()
+            .map(|c| gradient_distance(metric, reference, c))
+            .collect(),
+    };
+    let mut scored: Vec<(usize, f64)> = scores
+        .into_iter()
         // A NaN score (non-finite gradients under Cosine/Euclidean) ranks
         // as maximally dissimilar, matching `wasserstein_1d`'s convention
         // for non-finite inputs, instead of corrupting the sort order.
-        .map(|(i, c)| {
-            let d = gradient_distance(metric, reference, c);
-            (i, if d.is_nan() { f64::INFINITY } else { d })
-        })
+        .map(|d| if d.is_nan() { f64::INFINITY } else { d })
+        .enumerate()
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     scored
@@ -213,6 +257,42 @@ mod tests {
         }
         // Finite inputs are unaffected by the guard.
         assert!((wasserstein_1d(&clean, &clean)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sorted_once_wasserstein_matches_per_pair_bit_for_bit() {
+        let reference = vec![0.3f32, -1.5, 2.25, 0.0, -0.7, 1.1];
+        let candidates = vec![
+            vec![0.3f32, -1.5, 2.25, 0.0, -0.7, 1.1],
+            vec![1.0, 1.0, -3.0, 2.0, 0.5, -0.25],
+            vec![-0.1, 0.2, -0.3, 0.4, -0.5, 0.6],
+            vec![0.0, f32::NAN, 1.0, 2.0, 3.0, 4.0],
+            vec![5.0, 4.0, 3.0, 2.0, 1.0, f32::INFINITY],
+            vec![9.0, -9.0, 0.1, 0.2, 0.3, 0.4],
+        ];
+        let mut poisoned = reference.clone();
+        poisoned[2] = f32::NEG_INFINITY;
+        for r in [&reference, &poisoned] {
+            let scores = wasserstein_scores(r, &candidates);
+            for (c, s) in candidates.iter().zip(&scores) {
+                assert_eq!(s.to_bits(), wasserstein_1d(r, c).to_bits());
+            }
+            // The ranking equals one built from per-pair distances.
+            let mut per_pair: Vec<(usize, f64)> = candidates
+                .iter()
+                .map(|c| wasserstein_1d(r, c))
+                .enumerate()
+                .collect();
+            per_pair.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let expected: Vec<usize> = per_pair.iter().map(|&(i, _)| i).collect();
+            let ranked = most_dissimilar(DistanceMetric::Wasserstein, r, &candidates, 6);
+            assert_eq!(ranked, expected);
+        }
+        assert_eq!(
+            most_dissimilar(DistanceMetric::Wasserstein, &reference, &candidates, 6)[..2],
+            [3, 4],
+            "non-finite candidates rank as maximally dissimilar"
+        );
     }
 
     #[test]

@@ -188,16 +188,34 @@ pub fn qp_solve(k: usize, n: usize, iters: usize) -> Cost {
     }
 }
 
-/// 1-D Wasserstein over two length-n samples: finite screen (2n), two
-/// copies, two sorts modelled at `n·(⌊log₂n⌋+1)` comparisons each
-/// (counted as 1 "FLOP" per comparison — a work model, not a float-op
-/// count), and the paired |x−y| sweep (3n + 1).
+/// 1-D Wasserstein over two length-n samples: two
+/// [`wasserstein_sort`]s and one [`wasserstein_sweep`].
 pub fn wasserstein(n: usize) -> Cost {
+    wasserstein_sort(n)
+        .plus(wasserstein_sort(n))
+        .plus(wasserstein_sweep(n))
+}
+
+/// One side of a 1-D Wasserstein: finite screen (n), a copy, and a sort
+/// modelled at `n·(⌊log₂n⌋+1)` comparisons (counted as 1 "FLOP" per
+/// comparison — a work model, not a float-op count). Bytes: read the
+/// input, write the copy.
+pub fn wasserstein_sort(n: usize) -> Cost {
     let n64 = n as u64;
     let log2n = usize::BITS as u64 - (n.max(1) as u64).leading_zeros() as u64;
     Cost {
-        flops: 2 * n64 + 2 * n64 * log2n + 3 * n64 + 1,
-        bytes: 4 * 6 * n64, // read both inputs, write both copies, read both sorted
+        flops: n64 + n64 * log2n,
+        bytes: 4 * 2 * n64,
+    }
+}
+
+/// The paired |x−y| sweep over two sorted length-n samples (3n + 1);
+/// bytes: read both sorted copies.
+pub fn wasserstein_sweep(n: usize) -> Cost {
+    let n64 = n as u64;
+    Cost {
+        flops: 3 * n64 + 1,
+        bytes: 4 * 2 * n64,
     }
 }
 

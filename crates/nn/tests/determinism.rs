@@ -15,6 +15,10 @@
 //!    earlier backward and an eval forward gives the same gradients as
 //!    one after a fresh train forward — what lets FedKNOW's gradient
 //!    restorer share the student forward across all restored tasks.
+//! 4. **Eval forwards are batch-invariant.** Each row of an eval forward
+//!    is the same, bit for bit, whether computed alone, in a permuted
+//!    batch, or in the full batch — what lets the restorer cache teacher
+//!    pseudo-labels per sample and compute only the rows it lacks.
 
 use fedknow_math::rng::seeded;
 use fedknow_math::{parallel, pool, Tensor};
@@ -174,5 +178,65 @@ fn repeated_backward_after_eval_forward_matches_fresh_forward() {
             "{}: second backward differs from a fresh one",
             kind.name()
         );
+    }
+}
+
+/// Rows `positions` of the batch `x`, in that order.
+fn rows(x: &Tensor, positions: &[usize]) -> Tensor {
+    let row = x.len() / x.shape()[0];
+    let mut data = Vec::new();
+    for &p in positions {
+        data.extend_from_slice(&x.data()[p * row..(p + 1) * row]);
+    }
+    let mut shape = x.shape().to_vec();
+    shape[0] = positions.len();
+    Tensor::from_vec(data, &shape)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// For every architecture, batches of 7 and 16, and 1 or 2 threads: the
+/// eval forward of each
+/// row alone, and of the batch reversed, equals the full-batch eval
+/// forward row for row, bit for bit.
+#[test]
+fn eval_forward_rows_are_batch_invariant() {
+    // An odd and an even batch, so rows land in full and partial tiles.
+    for (n, kind) in [7, 16]
+        .into_iter()
+        .flat_map(|n| ModelKind::ALL.map(|k| (n, k)))
+    {
+        let x = input(&[n, 3, 8, 8], 53);
+        let mut m = kind.build(&mut seeded(54), 3, 5, 1.0);
+        // Move the BatchNorm running statistics off their initial values.
+        m.forward(input(&[n, 3, 8, 8], 55), true);
+        for threads in [1, 2] {
+            parallel::with_threads(threads, || {
+                let full = bits(&m.forward(x.clone(), false));
+                let classes = full.len() / n;
+                let row = |r: usize| &full[r * classes..(r + 1) * classes];
+                for r in 0..n {
+                    let alone = bits(&m.forward(rows(&x, &[r]), false));
+                    assert_eq!(
+                        alone,
+                        row(r),
+                        "{}: row {r} alone differs at {threads} threads",
+                        kind.name()
+                    );
+                }
+                let reversed: Vec<usize> = (0..n).rev().collect();
+                let rev = bits(&m.forward(rows(&x, &reversed), false));
+                for (i, &r) in reversed.iter().enumerate() {
+                    assert_eq!(
+                        &rev[i * classes..(i + 1) * classes],
+                        row(r),
+                        "{}: row {r} of the reversed batch differs at {threads} threads",
+                        kind.name()
+                    );
+                }
+            });
+        }
     }
 }

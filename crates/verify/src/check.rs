@@ -200,6 +200,29 @@ pub fn all_finite(what: &str, data: &[f32]) -> Result<(), String> {
     }
 }
 
+/// Cache invariant: a cached result equals a fresh recomputation bit
+/// for bit. `what` names the values in the violation message.
+pub fn bits_equal(what: &str, cached: &[f32], fresh: &[f32]) -> Result<(), String> {
+    if cached.len() != fresh.len() {
+        return Err(format!(
+            "{what}: {} cached values, {} fresh",
+            cached.len(),
+            fresh.len()
+        ));
+    }
+    match cached
+        .iter()
+        .zip(fresh)
+        .position(|(a, b)| a.to_bits() != b.to_bits())
+    {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{what}: cached {} != fresh {} at index {i}",
+            cached[i], fresh[i]
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +292,14 @@ mod tests {
         // Dividing by client count (2) instead of weight (4) breaks it.
         assert!(mass_conservation(&[5.0, 5.0], 20.0, 4.0).is_err());
         assert!(mass_conservation(&[0.0], 0.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn bits_equal_distinguishes_signed_zero() {
+        assert!(bits_equal("t", &[1.0, 0.0], &[1.0, 0.0]).is_ok());
+        let err = bits_equal("pseudo-labels", &[1.0, 0.0], &[1.0, -0.0]).unwrap_err();
+        assert!(err.contains("index 1"), "{err}");
+        assert!(bits_equal("t", &[1.0], &[1.0, 2.0]).is_err(), "bad length");
     }
 
     #[test]

@@ -146,11 +146,12 @@ fn fedknow_is_bit_identical_over_the_socket_transport() {
 #[test]
 fn verify_mode_runs_clean_end_to_end() {
     // FEDKNOW_VERIFY=1 equivalent: every runtime invariant (integrator
-    // KKT, extractor dominance, restorer grad rows, FedAvg mass, wire
-    // round-trip, per-layer finiteness) is live through a full run and
-    // must never fire. Strict mode turns any violation into a panic at
-    // the offending call site; the counters double-check that the
-    // invariants actually executed rather than being skipped.
+    // KKT, extractor dominance, restorer grad rows and cached
+    // pseudo-labels, FedAvg mass, wire round-trip, per-layer finiteness)
+    // is live through a full run and must never fire. Strict mode turns
+    // any violation into a panic at the offending call site; the
+    // counters double-check that the invariants actually executed rather
+    // than being skipped.
     fedknow_obs::enable();
     fedknow_verify::enable_strict();
     let spec = RunSpec::quick(42);
@@ -163,6 +164,16 @@ fn verify_mode_runs_clean_end_to_end() {
     let violations = snap.counters.get("verify.violations").copied().unwrap_or(0);
     assert!(checks > 0, "verify mode ran but no invariant checks fired");
     assert_eq!(violations, 0, "runtime invariants violated: {snap:?}");
+    // Every cached pseudo-label row served was recomputed and matched.
+    let hits = snap
+        .counters
+        .get("restore.pseudo_hit")
+        .copied()
+        .unwrap_or(0);
+    assert!(
+        hits > 0,
+        "the strict run never served a cached pseudo-label"
+    );
 }
 
 #[test]
