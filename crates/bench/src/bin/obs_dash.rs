@@ -19,7 +19,7 @@
 //!   `obs_report` view, condensed).
 
 use fedknow_bench::dash::{heat_strip, mean_per_index, sparkline};
-use fedknow_bench::{fmt_metric, fmt_ns};
+use fedknow_bench::{fmt_metric, fmt_ns, wall_share};
 use fedknow_obs::{read_jsonl, Aggregate};
 
 fn main() {
@@ -254,11 +254,8 @@ fn print_phases(agg: &Aggregate, wall: u64) {
     phases.sort_by_key(|(_, xs)| std::cmp::Reverse(xs.iter().sum::<u64>()));
     for (name, xs) in phases.into_iter().take(10) {
         let total: u64 = xs.iter().sum();
-        let share = if wall > 0 && name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * total as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
+        let share =
+            wall_share(name, total, wall).map_or_else(|| "-".to_string(), |s| format!("{s:.1}%"));
         println!(
             "{:<30}{:>10}{:>12}{:>12}{:>8}",
             name,

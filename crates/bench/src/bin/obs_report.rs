@@ -10,6 +10,9 @@
 //! * **phases** — every sampled metric (`qp.solve_ns`, `model.fwd_ns`,
 //!   …): count, total, mean, exact p50/p99, and share of wall-time
 //!   (the `run` span). With parallel clients, shares can sum past 100%.
+//!   Simulated-clock histograms (`comm.sim_transfer_ns`, the comm
+//!   model's link time) follow in their own table with no share: they
+//!   measure no part of the wall.
 //! * **spans** — the run hierarchy rolled up by shape (`task.3` →
 //!   `task.*`), so all rounds/clients at the same depth aggregate. Each
 //!   row carries the kernel FLOPs attributed to its spans (achieved
@@ -20,7 +23,8 @@
 
 use std::collections::BTreeMap;
 
-use fedknow_bench::{fmt_metric, fmt_ns};
+use fedknow_bench::{fmt_ns, print_phase_tables};
+use fedknow_fl::PhaseStat;
 use fedknow_obs::{read_jsonl, Aggregate, SpanStat};
 
 fn main() {
@@ -29,53 +33,26 @@ fn main() {
         eprintln!("usage: obs_report <trace.jsonl>");
         std::process::exit(2);
     };
-    let events = match read_jsonl(path) {
+    let records = match read_jsonl(path) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("obs_report: cannot read {path}: {e}");
             std::process::exit(1);
         }
     };
-    if events.is_empty() {
-        eprintln!("obs_report: {path} holds no events");
+    if records.is_empty() {
+        eprintln!("obs_report: {path} holds no records");
         std::process::exit(1);
     }
-    let agg = Aggregate::from_events(&events);
+    let agg = Aggregate::from_events(&records);
     let wall = agg.spans.get("run").map(|s| s.total_ns).unwrap_or(0);
 
     println!("trace       {path}");
-    println!("events      {}", events.len());
+    println!("records     {}", records.len());
     println!("wall time   {}", fmt_ns(wall));
 
     println!("\n== phases (share of wall; parallel phases may exceed 100%) ==");
-    println!(
-        "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
-        "phase", "count", "total", "mean", "p50", "p99", "share"
-    );
-    let mut phases: Vec<(&String, &Vec<u64>)> = agg.samples.iter().collect();
-    phases.sort_by_key(|(_, xs)| std::cmp::Reverse(xs.iter().sum::<u64>()));
-    for (name, xs) in phases {
-        let total: u64 = xs.iter().sum();
-        let count = xs.len() as u64;
-        let mean = total as f64 / count as f64;
-        let p50 = agg.quantile(name, 0.5).unwrap_or(0);
-        let p99 = agg.quantile(name, 0.99).unwrap_or(0);
-        let share = if wall > 0 && name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * total as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
-        println!(
-            "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
-            name,
-            count,
-            fmt_metric(name, total),
-            fmt_metric(name, mean as u64),
-            fmt_metric(name, p50),
-            fmt_metric(name, p99),
-            share,
-        );
-    }
+    print_phase_tables(&phase_rows(&agg), wall);
 
     println!("\n== spans (rolled up: task.3 -> task.*) ==");
     let rolled = rollup_spans(&agg.spans);
@@ -133,6 +110,28 @@ fn main() {
     }
 }
 
+/// One row per sampled metric with exact statistics, largest total
+/// first.
+fn phase_rows(agg: &Aggregate) -> Vec<PhaseStat> {
+    let mut rows: Vec<PhaseStat> = agg
+        .samples
+        .iter()
+        .map(|(name, xs)| {
+            let total: u64 = xs.iter().sum();
+            PhaseStat {
+                name: name.clone(),
+                count: xs.len() as u64,
+                total_ns: total,
+                mean_ns: total as f64 / xs.len() as f64,
+                p50_ns: agg.quantile(name, 0.5).unwrap_or(0),
+                p99_ns: agg.quantile(name, 0.99).unwrap_or(0),
+            }
+        })
+        .collect();
+    rows.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
+    rows
+}
+
 /// Merge span paths that differ only in trailing indices: every segment
 /// `name.<digits>` becomes `name.*`, so `run/task.0/round.2/client.1`
 /// and `run/task.1/round.0/client.3` aggregate into one row.
@@ -157,5 +156,46 @@ fn normalize_segment(seg: &str) -> String {
             format!("{name}.*")
         }
         _ => seg.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedknow_bench::wall_share;
+    use fedknow_obs::{RingData, RingRecord};
+
+    /// The phase table must never show simulated link time as a share
+    /// of wall time, however large it is next to the wall.
+    #[test]
+    fn no_simulated_metric_gets_a_wall_share() {
+        let sample = |name: &str, value: u64| RingRecord {
+            ts_ns: 0,
+            round: 0,
+            data: RingData::Sample {
+                name: name.to_string(),
+                value,
+            },
+        };
+        let agg = Aggregate::from_events(&[
+            sample("comm.sim_transfer_ns", 2_000_000_000),
+            sample("qp.solve_ns", 250_000_000),
+            sample("qp.iters", 17),
+        ]);
+        let wall = 1_000_000_000;
+        let rows = phase_rows(&agg);
+        let shares: Vec<(&str, Option<f64>)> = rows
+            .iter()
+            .map(|r| (r.name.as_str(), wall_share(&r.name, r.total_ns, wall)))
+            .collect();
+        assert_eq!(
+            shares,
+            vec![
+                ("comm.sim_transfer_ns", None),
+                ("qp.solve_ns", Some(25.0)),
+                ("qp.iters", None),
+            ]
+        );
+        assert_eq!(wall_share("qp.solve_ns", 1, 0), None, "no wall, no share");
     }
 }

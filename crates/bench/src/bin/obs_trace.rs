@@ -20,8 +20,11 @@
 //! The input format is sniffed, not flagged: a JSON object with
 //! `traceEvents` is already a trace, one with `version` + `tracks` is a
 //! postmortem bundle (`FEDKNOW_TRACE_DIR`), and anything that fails to
-//! parse as a single JSON document is treated as a JSONL event stream
-//! (`FEDKNOW_OBS=trace.jsonl`). Exit codes: 0 ok, 1 invalid input or
+//! parse as a single JSON document is treated as a JSONL record stream
+//! (`FEDKNOW_OBS=trace.jsonl`). Bundles and JSONL hold the same
+//! flight-recorder records, so both convert through one path and give
+//! the same timeline: real span start times, fault and violation
+//! instants, and wire flows. Exit codes: 0 ok, 1 invalid input or
 //! failed validation, 2 usage/IO error.
 
 use fedknow_obs::trace;
@@ -70,9 +73,23 @@ fn load_trace(path: &str) -> Result<Value, String> {
             "{path}: JSON document is neither a trace (traceEvents) nor a \
              postmortem bundle (version + tracks)"
         )),
-        // Not one JSON document — assume a JSONL event stream.
-        Err(_) => trace::jsonl_to_trace(&text).map_err(|e| format!("convert jsonl {path}: {e}")),
+        // Not one JSON document — assume a JSONL record stream.
+        Err(_) => {
+            let records = jsonl_records(&text).map_err(|e| format!("{path}: {e}"))?;
+            trace::records_to_trace(&records).map_err(|e| format!("convert jsonl {path}: {e}"))
+        }
     }
+}
+
+/// Parse each non-blank line of a JSONL stream as one JSON record.
+fn jsonl_records(text: &str) -> Result<Vec<Value>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            serde_json::from_str(line).map_err(|e| format!("line {}: not JSON: {e}", i + 1))
+        })
+        .collect()
 }
 
 fn convert(argv: &[String]) -> i32 {

@@ -243,41 +243,73 @@ pub fn fmt_metric(name: &str, value: u64) -> String {
     }
 }
 
-/// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
-/// table — the single reporting path the bench binaries share with
-/// `obs_report`. Phase shares are relative to the `span.run_ns` wall
-/// time; with parallel clients the phase totals can legitimately sum to
-/// more than 100%.
-pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
-    let wall = b.phase("span.run_ns").map(|p| p.total_ns).unwrap_or(0);
-    println!("\n== phase breakdown (wall {}) ==", fmt_ns(wall));
-    println!(
-        "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
-        "phase", "count", "total", "mean", "p50", "p99", "share"
-    );
-    let mut phases: Vec<_> = b
-        .phases
-        .iter()
-        .filter(|p| !p.name.starts_with("span."))
-        .collect();
-    phases.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
-    for p in phases {
-        let share = if wall > 0 && p.name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * p.total_ns as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
-        println!(
-            "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
+/// Whether a histogram measures the simulated clock — the comm
+/// model's link time (`comm.sim_transfer_ns`), the paper's Fig. 4–6
+/// axis — rather than wall time. Any metric whose leaf starts `sim_`.
+pub fn is_simulated(name: &str) -> bool {
+    name.rsplit('.')
+        .next()
+        .is_some_and(|leaf| leaf.starts_with("sim_"))
+}
+
+/// A phase's share of the wall time `wall_ns`, in percent: `None` for
+/// non-time metrics, for simulated-clock time (which is no part of the
+/// wall), and when the wall is unknown.
+pub fn wall_share(name: &str, total_ns: u64, wall_ns: u64) -> Option<f64> {
+    (wall_ns > 0 && name.ends_with("_ns") && !is_simulated(name))
+        .then(|| 100.0 * total_ns as f64 / wall_ns as f64)
+}
+
+/// Print phase rows (already filtered and ordered) as two tables:
+/// wall-clock phases with their share of `wall_ns` — with parallel
+/// clients the shares can legitimately sum past 100% — then any
+/// simulated-clock phases under their own heading, with no share.
+pub fn print_phase_tables(phases: &[fedknow_fl::PhaseStat], wall_ns: u64) {
+    let (sim, real): (Vec<_>, Vec<_>) = phases.iter().partition(|p| is_simulated(&p.name));
+    let row = |p: &fedknow_fl::PhaseStat| {
+        format!(
+            "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}",
             p.name,
             p.count,
             fmt_metric(&p.name, p.total_ns),
             fmt_metric(&p.name, p.mean_ns as u64),
             fmt_metric(&p.name, p.p50_ns),
             fmt_metric(&p.name, p.p99_ns),
-            share,
-        );
+        )
+    };
+    let header = format!(
+        "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}",
+        "phase", "count", "total", "mean", "p50", "p99"
+    );
+    println!("{header}{:>8}", "share");
+    for p in real {
+        let share = wall_share(&p.name, p.total_ns, wall_ns)
+            .map_or_else(|| "-".to_string(), |s| format!("{s:.1}%"));
+        println!("{}{share:>8}", row(p));
     }
+    if !sim.is_empty() {
+        println!("\n== simulated time (the comm model's clock; no share of wall) ==");
+        println!("{header}");
+        for p in sim {
+            println!("{}", row(p));
+        }
+    }
+}
+
+/// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
+/// table ([`print_phase_tables`], which `obs_report` shares). Phase
+/// shares are relative to the `span.run_ns` wall time.
+pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
+    let wall = b.phase("span.run_ns").map(|p| p.total_ns).unwrap_or(0);
+    println!("\n== phase breakdown (wall {}) ==", fmt_ns(wall));
+    let mut phases: Vec<_> = b
+        .phases
+        .iter()
+        .filter(|p| !p.name.starts_with("span."))
+        .cloned()
+        .collect();
+    phases.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
+    print_phase_tables(&phases, wall);
     if !b.counters.is_empty() {
         println!("{:<28}{:>10}", "counter", "total");
         for (name, v) in &b.counters {

@@ -211,6 +211,81 @@ fn panic_hook_flushes_jsonl_and_dumps_bundle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// With the flight recorder off (`FEDKNOW_TRACE_CAP=0`) the JSONL sink
+/// still gets every record: each span's `Begin` pairs with its `End`,
+/// and the converted trace has real start times — no slice is a
+/// truncation repair.
+#[test]
+fn jsonl_is_complete_with_the_flight_recorder_off() {
+    use fedknow_obs::RingData;
+
+    let dir = scratch("cap0");
+    let jsonl = dir.join("probe.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_probe"))
+        .env("FEDKNOW_OBS", &jsonl)
+        .env("FEDKNOW_TRACE_CAP", "0")
+        .env_remove("FEDKNOW_TRACE_DIR")
+        .env_remove("FEDKNOW_VERIFY")
+        .args([
+            "--tasks",
+            "2",
+            "--clients",
+            "2",
+            "--rounds",
+            "2",
+            "--iters",
+            "2",
+        ])
+        .args(["--seed", "5"])
+        .output()
+        .expect("spawn probe");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let records = fedknow_obs::read_jsonl(&jsonl).expect("jsonl must parse");
+    let mut begins: Vec<&str> = Vec::new();
+    let mut ends: Vec<&str> = Vec::new();
+    for r in &records {
+        match &r.data {
+            RingData::Begin { path } => begins.push(path),
+            RingData::End { path, .. } => ends.push(path),
+            _ => {}
+        }
+    }
+    assert!(begins.contains(&"run"), "the run span must be recorded");
+    begins.sort_unstable();
+    ends.sort_unstable();
+    assert_eq!(begins, ends, "every `End` has its `Begin`");
+
+    let path = jsonl.to_str().unwrap();
+    let ok = run_trace(&["validate", path]);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    let trace_path = dir.join("trace.json");
+    let conv = run_trace(&["convert", path, "-o", trace_path.to_str().unwrap()]);
+    assert!(conv.status.success());
+    let trace: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let events = trace["traceEvents"].as_array().expect("traceEvents");
+    let begun = events
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("B"))
+        .count();
+    let truncated = events
+        .iter()
+        .filter(|e| e["args"].get("truncated").is_some())
+        .count();
+    assert_eq!(begun, begins.len(), "one `B` slice per span");
+    assert_eq!(truncated, 0, "no slice may lose its start time");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Without `FEDKNOW_TRACE_DIR` the probe stays silent: no bundle, and
 /// it says so instead of failing.
 #[test]

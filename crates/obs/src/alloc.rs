@@ -14,7 +14,7 @@
 //!   flush time), and
 //! * per-thread running totals, which span guards diff to attribute
 //!   allocation counts to span paths (see
-//!   [`SpanPerf`](crate::event::SpanPerf)) — the per-call-site
+//!   [`SpanPerf`](crate::ring::SpanPerf)) — the per-call-site
 //!   inventory the workspace-reuse optimisation work burns down.
 //!
 //! The accounting path must never allocate (it runs inside `alloc`):

@@ -2,7 +2,7 @@
 //!
 //! Observability for the FedKNOW simulation stack: hierarchical spans,
 //! phase timers, and a thread-safe metrics registry of counters and
-//! log-bucketed histograms, with an optional JSONL event sink.
+//! log-bucketed histograms, with an optional JSONL record sink.
 //!
 //! ## Cost model
 //!
@@ -14,7 +14,8 @@
 //! * `FEDKNOW_OBS=<path>` in the environment (checked by
 //!   [`init_from_env`], which the simulation calls once per run):
 //!   enables the in-memory registry **and** streams every event to
-//!   `<path>` as JSONL, one object per line.
+//!   `<path>` as JSONL: one [`RingRecord`] per line, the same records
+//!   the flight recorder holds.
 //! * [`enable`] from code (used by the report binaries and tests):
 //!   enables the in-memory registry; JSONL is still only attached if
 //!   the environment variable is set.
@@ -33,15 +34,19 @@
 //! * [`snapshot`] — copy of the registry; [`MetricsSnapshot::since`]
 //!   attributes metrics to a single run by diffing two snapshots.
 //! * [`ring`] — the always-on flight recorder: bounded per-thread ring
-//!   buffers mirroring every event, drained into postmortem
-//!   [`bundle`]s on panic, strict verify violations, injected faults,
-//!   or an explicit [`dump_now`]; [`trace`] renders either bundles or
-//!   JSONL as Chrome/Perfetto timelines.
+//!   buffers of [`RingRecord`]s, drained into postmortem [`bundle`]s on
+//!   panic, strict verify violations, injected faults, or an explicit
+//!   [`dump_now`]; [`trace`] renders the records of a bundle or of a
+//!   JSONL stream as Chrome/Perfetto timelines.
+//!
+//! Every event is encoded once, as a [`RingRecord`] stamped with its
+//! timestamp and round, and that record goes to each destination that
+//! is on: the calling thread's ring (unless `FEDKNOW_TRACE_CAP=0`) and
+//! the JSONL sink (when `FEDKNOW_OBS` is set).
 
 pub mod alloc;
 pub mod bundle;
 pub mod cohort;
-pub mod event;
 pub mod handle;
 pub mod health;
 pub mod hist;
@@ -63,7 +68,6 @@ pub use bundle::{
 pub use cohort::{
     cohort_count, cohort_of, CohortSet, CohortSnapshot, CohortStat, DEFAULT_COHORTS, ENV_COHORTS,
 };
-pub use event::{CountEvent, Event, GaugeEvent, PointEvent, SampleEvent, SpanEnd, SpanPerf};
 pub use handle::{CounterHandle, HandleTimer, HistHandle};
 pub use health::{HealthEngine, HealthSnapshot, RoundObservation, SloState, SloStatus};
 pub use hist::{HistSnapshot, LogHistogram};
@@ -74,8 +78,8 @@ pub use registry::{
     Counter, Gauge, MetricsSnapshot, Registry, Series, DEFAULT_MAX_NAMES, ENV_MAX_NAMES,
     SERIES_POINT_CAP,
 };
-pub use ring::{now_ns, RingBuf, RingData, RingRecord, DEFAULT_TRACE_CAP, ENV_TRACE_CAP};
-pub use sink::{read_jsonl, Aggregate, JsonlSink, Sink, SpanStat, ENV_MAX_MB};
+pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, DEFAULT_TRACE_CAP, ENV_TRACE_CAP};
+pub use sink::{read_jsonl, Aggregate, JsonlSink, SpanStat, ENV_MAX_MB};
 pub use sketch::{QuantileSketch, Sketch, SketchSnapshot, DEFAULT_ALPHA};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
 
@@ -219,20 +223,11 @@ pub fn count(name: &str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.add(name, delta);
-    if ring::ring_enabled() {
-        ring::record(RingData::Count {
-            name: name.to_string(),
-            delta,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Count(CountEvent {
-            name: name.to_string(),
-            delta,
-        }));
-    }
+    state().registry.add(name, delta);
+    emit(|| RingData::Count {
+        name: name.to_string(),
+        delta,
+    });
 }
 
 /// Record `value` into the histogram `name`. No-op when disabled.
@@ -240,20 +235,11 @@ pub fn record(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.record(name, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Sample {
-            name: name.to_string(),
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Sample(SampleEvent {
-            name: name.to_string(),
-            value,
-        }));
-    }
+    state().registry.record(name, value);
+    emit(|| RingData::Sample {
+        name: name.to_string(),
+        value,
+    });
 }
 
 /// Set the gauge `name` to `value`. No-op when disabled.
@@ -261,20 +247,11 @@ pub fn gauge(name: &str, value: f64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.set_gauge(name, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Gauge {
-            name: name.to_string(),
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Gauge(GaugeEvent {
-            name: name.to_string(),
-            value,
-        }));
-    }
+    state().registry.set_gauge(name, value);
+    emit(|| RingData::Gauge {
+        name: name.to_string(),
+        value,
+    });
 }
 
 /// Append a point to the series `name` at the current ambient round
@@ -289,22 +266,12 @@ pub fn series_at(name: &str, index: u64, value: f64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.push_series(name, index, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Point {
-            name: name.to_string(),
-            index,
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Point(PointEvent {
-            name: name.to_string(),
-            index,
-            value,
-        }));
-    }
+    state().registry.push_series(name, index, value);
+    emit(|| RingData::Point {
+        name: name.to_string(),
+        index,
+        value,
+    });
 }
 
 /// Record `value` into the quantile sketch `name`. Registry-only by
@@ -486,29 +453,29 @@ pub fn round_index() -> u64 {
     ROUND.load(Ordering::Relaxed)
 }
 
-/// Record a fault injection into the flight recorder (`kind` is the
-/// fault-plan label, `detail` mirrors the fl layer's `FaultEvent`
-/// detail field). One relaxed load when the recorder is off.
+/// Record a fault injection (`kind` is the fault-plan label, `detail`
+/// mirrors the fl layer's `FaultEvent` detail field). No-op when
+/// disabled.
 pub fn fault(client: u64, kind: &str, detail: u64) {
     // Faulted clients are anomalous by definition: their spans bypass
     // head sampling so postmortems always have the interesting traces.
     mark_anomalous(client);
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Fault {
+    emit(|| RingData::Fault {
         client,
         kind: kind.to_string(),
         detail,
     });
 }
 
-/// Record one point of the wire message lifecycle into the flight
-/// recorder: `phase` is `enq`/`out`/`in`/`handled`/`drop`, `conn` the
-/// connection (client id), `trace`/`span`/`parent` the frame's trace
-/// context, `msg` the message-kind label, `bytes` the payload size and
-/// `peer_ts_ns` the sender's send timestamp on receive-side records
-/// (0 elsewhere). One relaxed load when the recorder is off.
+/// Record one point of the wire message lifecycle: `phase` is
+/// `enq`/`out`/`in`/`handled`/`drop`, `conn` the connection (client
+/// id), `trace`/`span`/`parent` the frame's trace context, `msg` the
+/// message-kind label, `bytes` the payload size and `peer_ts_ns` the
+/// sender's send timestamp on receive-side records (0 elsewhere).
+/// No-op when disabled.
 #[allow(clippy::too_many_arguments)]
 pub fn wire_event(
     phase: &str,
@@ -520,10 +487,10 @@ pub fn wire_event(
     bytes: u64,
     peer_ts_ns: u64,
 ) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Wire {
+    emit(|| RingData::Wire {
         phase: phase.to_string(),
         conn,
         trace,
@@ -556,39 +523,37 @@ pub fn observe_queue_depth(depth: f64) {
     health_engine().lock().observe_queue_depth(depth);
 }
 
-/// Record a runtime invariant violation into the flight recorder.
-/// One relaxed load when the recorder is off.
+/// Record a runtime invariant violation. No-op when disabled.
 pub fn violation(check: &str, detail: &str) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Violation {
+    emit(|| RingData::Violation {
         check: check.to_string(),
         detail: detail.to_string(),
     });
 }
 
-/// Record a free-form marker (checkpoint/resume boundaries, panics)
-/// into the flight recorder. One relaxed load when the recorder is
-/// off.
+/// Record a free-form marker (checkpoint/resume boundaries, panics).
+/// No-op when disabled.
 pub fn mark(note: &str) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Note {
+    emit(|| RingData::Note {
         note: note.to_string(),
     });
 }
 
-/// Record into the registry without emitting a sink event (spans emit
-/// their own richer event).
+/// Record into the registry without emitting a record (a span's `End`
+/// record already carries its duration).
 pub(crate) fn record_in_registry(name: &str, value: u64) {
     if is_enabled() {
         state().registry.record(name, value);
     }
 }
 
-/// Count into the registry without emitting a sink event. The sink's
+/// Count into the registry without emitting a record. The sink's
 /// own rotation accounting uses this: routing those counts through
 /// [`count`] would re-enter the sink it is rotating.
 pub(crate) fn count_in_registry(name: &str, delta: u64) {
@@ -597,13 +562,27 @@ pub(crate) fn count_in_registry(name: &str, delta: u64) {
     }
 }
 
-/// Send an event to the JSONL sink, if attached.
-pub(crate) fn dispatch(event: &Event) {
-    if !is_enabled() {
+/// The one emit path: stamp a record with the time and the ambient
+/// round, then send it to every destination that is on — the calling
+/// thread's flight-recorder ring and the JSONL sink. `data` is built
+/// only when at least one of them is. Callers check [`is_enabled`]
+/// first, so a disabled site costs that one relaxed load.
+pub(crate) fn emit(data: impl FnOnce() -> RingData) {
+    let ring = ring::ring_enabled();
+    let jsonl = state().jsonl.as_ref();
+    if !ring && jsonl.is_none() {
         return;
     }
-    if let Some(j) = &state().jsonl {
-        j.emit(event);
+    let rec = RingRecord {
+        ts_ns: ring::epoch_ns(),
+        round: round_index(),
+        data: data(),
+    };
+    if let Some(j) = jsonl {
+        j.emit(&rec);
+    }
+    if ring {
+        ring::push(rec);
     }
 }
 
@@ -627,9 +606,9 @@ pub fn snapshot() -> Option<MetricsSnapshot> {
 }
 
 /// Flush observability state at the end of a run: emit the growth of
-/// the `flops.*`/`bytes.*`/`alloc.*` perf counters as JSONL `Count`
-/// events (they are registry-only on the hot path), then flush the
-/// JSONL sink (the global sink is never dropped).
+/// the `flops.*`/`bytes.*`/`alloc.*` perf counters as `Count` records
+/// (they are registry-only on the hot path), then flush the JSONL sink
+/// (the global sink is never dropped).
 pub fn flush() {
     if is_enabled() {
         perf::flush_deltas();

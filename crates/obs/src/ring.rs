@@ -1,12 +1,14 @@
 //! The flight recorder: per-thread, fixed-capacity ring buffers of
 //! compact timestamped records.
 //!
-//! Every instrumentation event (span begin/end, counter delta, gauge
-//! update, series point, fault injection, verify violation, free-form
-//! note) is mirrored into the recording thread's ring. Rings are
-//! bounded — `FEDKNOW_TRACE_CAP` records per thread, default 65 536 —
-//! so a run of any length holds only the most recent window, like an
-//! aircraft black box. When a dump trigger fires (panic, strict verify
+//! [`RingRecord`] is the crate's one event encoding. Every
+//! instrumentation event (span begin/end, counter delta, gauge update,
+//! series point, fault injection, verify violation, free-form note,
+//! wire lifecycle point) is stamped once as a record, which goes into
+//! the recording thread's ring and, when `FEDKNOW_OBS` attaches one, to
+//! the JSONL sink as one line. Rings are bounded — `FEDKNOW_TRACE_CAP`
+//! records per thread, default 65 536 — so a run of any length holds
+//! only the most recent window, like an aircraft black box. When a dump trigger fires (panic, strict verify
 //! violation, injected fault, explicit [`crate::dump_now`]), every
 //! ring is drained into a postmortem bundle (see [`crate::bundle`]).
 //!
@@ -17,8 +19,9 @@
 //! enabled, a record is a thread-local borrow, an uncontended
 //! mutex lock (contended only while a dump drains), and
 //! a slot write — bounded memory, no reallocation after the ring
-//! fills. `FEDKNOW_TRACE_CAP=0` switches recording off entirely while
-//! the rest of the observability stack stays up.
+//! fills. `FEDKNOW_TRACE_CAP=0` switches the rings off while the rest
+//! of the observability stack stays up; the JSONL sink still gets every
+//! record.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,6 +64,10 @@ pub enum RingData {
         path: String,
         /// Span duration in nanoseconds.
         dur_ns: u64,
+        /// Work attributed to the span, when the profiling layer
+        /// counted any. Records written before this field existed lack
+        /// the key and read back as `None`.
+        perf: Option<SpanPerf>,
     },
     /// A counter was bumped.
     Count {
@@ -138,6 +145,29 @@ pub enum RingData {
         /// Sender's send timestamp (receive-side records; 0 otherwise).
         peer_ts_ns: u64,
     },
+}
+
+/// Work attributed to a span: the growth of the opening thread's
+/// kernel and allocator totals between span open and close. Inclusive
+/// of child spans on the same thread (like `dur_ns`); work done by
+/// other threads inside the span is attributed to *their* spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct SpanPerf {
+    /// Floating-point operations performed by instrumented kernels.
+    pub flops: u64,
+    /// Bytes moved by instrumented kernels (compulsory operand traffic).
+    pub bytes: u64,
+    /// Heap allocations (0 unless `FEDKNOW_PROF_ALLOC` tracking is on).
+    pub allocs: u64,
+    /// Bytes requested by those allocations.
+    pub alloc_bytes: u64,
+}
+
+impl SpanPerf {
+    /// Whether every field is zero (nothing to attribute).
+    pub fn is_zero(&self) -> bool {
+        *self == SpanPerf::default()
+    }
 }
 
 /// A fixed-capacity overwrite-oldest ring of [`RingRecord`]s.
@@ -243,10 +273,10 @@ pub fn ring_cap() -> usize {
 /// by [`crate::enable`]/[`crate::init_from_env`] — the recorder is on
 /// whenever observability is.
 pub(crate) fn enable_ring() {
+    EPOCH.get_or_init(Instant::now);
     if ring_cap() == 0 {
         return;
     }
-    EPOCH.get_or_init(Instant::now);
     RING_ON.store(true, Ordering::Release);
 }
 
@@ -264,27 +294,9 @@ pub fn now_ns() -> u64 {
     epoch_ns()
 }
 
-/// Record into the current thread's ring. No-op (one relaxed load)
-/// while the recorder is off.
-#[inline]
-pub(crate) fn record(data: RingData) {
-    if !ring_enabled() {
-        return;
-    }
-    record_at(epoch_ns(), data);
-}
-
-/// Record with an explicit timestamp (span opens reuse their already
-/// taken `Instant`).
-pub(crate) fn record_at(ts_ns: u64, data: RingData) {
-    if !ring_enabled() {
-        return;
-    }
-    let rec = RingRecord {
-        ts_ns,
-        round: crate::round_index(),
-        data,
-    };
+/// Push a stamped record into the calling thread's ring (see
+/// [`crate::emit`], the only caller).
+pub(crate) fn push(rec: RingRecord) {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         let arc = l.get_or_insert_with(register_current_thread);
@@ -352,21 +364,115 @@ mod tests {
         assert!(r.drain_ordered().is_empty());
     }
 
+    /// Every `RingData` variant survives the JSON round trip the JSONL
+    /// sink and bundles rely on, and lands under the `data.<Variant>`
+    /// shape the trace converter reads.
     #[test]
-    fn ring_record_roundtrips_through_json() {
-        let r = RingRecord {
-            ts_ns: 42,
-            round: 3,
-            data: RingData::Fault {
+    fn every_record_variant_roundtrips_through_json() {
+        let s = |x: &str| x.to_string();
+        let variants = vec![
+            RingData::Begin {
+                path: s("run/task.0"),
+            },
+            RingData::End {
+                path: s("run/task.0"),
+                dur_ns: 1234,
+                perf: None,
+            },
+            RingData::End {
+                path: s("run/task.1"),
+                dur_ns: 99,
+                perf: Some(SpanPerf {
+                    flops: 1_000_000,
+                    bytes: 4096,
+                    allocs: 3,
+                    alloc_bytes: 128,
+                }),
+            },
+            RingData::Count {
+                name: s("comm.upload_bytes"),
+                delta: 99,
+            },
+            RingData::Sample {
+                name: s("qp.solve_ns"),
+                value: 777,
+            },
+            RingData::Gauge {
+                name: s("fl.update_divergence"),
+                value: 0.125,
+            },
+            RingData::Point {
+                name: s("integrate.rotation"),
+                index: 4,
+                value: 0.03125,
+            },
+            RingData::Fault {
                 client: 2,
-                kind: "crash".to_string(),
+                kind: s("crash"),
                 detail: 0,
             },
-        };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RingRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v["data"]["Fault"]["kind"].as_str(), Some("crash"));
+            RingData::Violation {
+                check: s("qp.kkt"),
+                detail: s("residual"),
+            },
+            RingData::Note {
+                note: s("checkpoint.capture"),
+            },
+            RingData::Wire {
+                phase: s("in"),
+                conn: 1,
+                trace: 7,
+                span: 9,
+                parent: 3,
+                msg: s("upload"),
+                bytes: 64,
+                peer_ts_ns: 1100,
+            },
+        ];
+        let names = [
+            "Begin",
+            "End",
+            "End",
+            "Count",
+            "Sample",
+            "Gauge",
+            "Point",
+            "Fault",
+            "Violation",
+            "Note",
+            "Wire",
+        ];
+        for (i, (data, name)) in variants.into_iter().zip(names).enumerate() {
+            let r = RingRecord {
+                ts_ns: 42 + i as u64,
+                round: 3,
+                data,
+            };
+            let json = serde_json::to_string(&r).unwrap();
+            let back: RingRecord = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, r);
+            let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+            assert!(v["data"].get(name).is_some(), "{json}");
+        }
+    }
+
+    /// Bundles written before spans carried their work attribution
+    /// have no `perf` key on `End`; they must keep parsing (as `None`).
+    #[test]
+    fn end_without_perf_field_deserialises_as_none() {
+        let line = r#"{"ts_ns":7,"round":1,"data":{"End":{"path":"run","dur_ns":5}}}"#;
+        let back: RingRecord = serde_json::from_str(line).unwrap();
+        assert_eq!(
+            back,
+            RingRecord {
+                ts_ns: 7,
+                round: 1,
+                data: RingData::End {
+                    path: "run".into(),
+                    dur_ns: 5,
+                    perf: None,
+                },
+            }
+        );
     }
 }

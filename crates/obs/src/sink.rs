@@ -1,10 +1,11 @@
-//! Event sinks and the JSONL reader/aggregator.
+//! The JSONL record sink and its reader/aggregator.
 //!
 //! The in-memory aggregator is the [`Registry`](crate::registry::Registry)
-//! itself; this module adds the optional JSONL file sink (one event per
-//! line) and the reverse direction: reading a JSONL stream back into an
-//! [`Aggregate`] with exact per-metric sample sets, used by the
-//! `obs_report` binary and the round-trip tests.
+//! itself; this module adds the optional JSONL file sink — one
+//! [`RingRecord`] per line, the same records the flight recorder holds —
+//! and the reverse direction: reading a JSONL stream back into records
+//! and folding them into an [`Aggregate`] with exact per-metric sample
+//! sets, used by the report binaries and the round-trip tests.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -13,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use crate::event::Event;
+use crate::ring::{RingData, RingRecord};
 
 /// Environment variable capping the JSONL sink's file size, in MiB.
 /// When the current file crosses the cap it is rotated to `<path>.1`
@@ -22,20 +23,12 @@ use crate::event::Event;
 /// `0` = unbounded (the historical behaviour).
 pub const ENV_MAX_MB: &str = "FEDKNOW_OBS_MAX_MB";
 
-/// A destination for observability events.
-pub trait Sink: Send + Sync {
-    /// Deliver one event.
-    fn emit(&self, event: &Event);
-    /// Flush any buffered output.
-    fn flush(&self) {}
-}
-
 struct SinkInner {
     writer: BufWriter<File>,
     bytes: u64,
 }
 
-/// Appends one JSON object per event to a file (JSONL), with optional
+/// Appends one JSON object per record to a file (JSONL), with optional
 /// size-capped rotation (see [`ENV_MAX_MB`]).
 pub struct JsonlSink {
     inner: Mutex<SinkInner>,
@@ -70,7 +63,7 @@ impl JsonlSink {
         })
     }
 
-    /// The path rotated-out events move to: `<path>.1`.
+    /// The path rotated-out records move to: `<path>.1`.
     pub fn rotated_path(path: impl AsRef<Path>) -> PathBuf {
         let mut name = path.as_ref().as_os_str().to_os_string();
         name.push(".1");
@@ -79,7 +72,7 @@ impl JsonlSink {
 
     /// Rotate the current file to `<path>.1` and start a fresh one.
     /// Accounting goes registry-only (`obs.sink_rotations`,
-    /// `obs.sink_rotated_bytes`): emitting events here would re-enter
+    /// `obs.sink_rotated_bytes`): emitting records here would re-enter
     /// the sink being rotated.
     fn rotate(&self, g: &mut SinkInner) {
         let _ = g.writer.flush();
@@ -103,11 +96,10 @@ impl JsonlSink {
             }
         }
     }
-}
 
-impl Sink for JsonlSink {
-    fn emit(&self, event: &Event) {
-        let line = serde_json::to_string(event).expect("event serialises");
+    /// Append one record as a line, rotating past the size cap.
+    pub fn emit(&self, rec: &RingRecord) {
+        let line = serde_json::to_string(rec).expect("record serialises");
         let mut g = self.inner.lock();
         // Ignore write errors: observability must never take down a run.
         let _ = writeln!(g.writer, "{line}");
@@ -119,30 +111,31 @@ impl Sink for JsonlSink {
         }
     }
 
-    fn flush(&self) {
+    /// Flush buffered lines to the file.
+    pub fn flush(&self) {
         let _ = self.inner.lock().writer.flush();
     }
 }
 
-/// Read every event from a JSONL file. Unparseable lines are an error
+/// Read every record from a JSONL file. Unparseable lines are an error
 /// (the file format is fully under this crate's control).
-pub fn read_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<Event>> {
+pub fn read_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<RingRecord>> {
     let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
+    let mut records = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let event = serde_json::from_str(&line).map_err(|e| {
+        let rec = serde_json::from_str(&line).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("line {}: {e}", i + 1),
             )
         })?;
-        events.push(event);
+        records.push(rec);
     }
-    Ok(events)
+    Ok(records)
 }
 
 /// Per-span-path totals within an [`Aggregate`].
@@ -170,7 +163,7 @@ impl SpanStat {
     }
 }
 
-/// An exact aggregation of an event stream: counter totals, raw
+/// An exact aggregation of a record stream: counter totals, raw
 /// histogram samples (sorted), per-path span totals, last-written
 /// gauges, and series points in index order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -189,32 +182,40 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
-    /// Aggregate an event stream.
-    pub fn from_events(events: &[Event]) -> Self {
+    /// Aggregate a record stream: `End` records fold into span totals,
+    /// `Count`/`Sample`/`Gauge`/`Point` into their metric; the timeline
+    /// records (`Begin`, faults, violations, notes, wire points) carry
+    /// nothing to aggregate and are skipped.
+    pub fn from_events(records: &[RingRecord]) -> Self {
         let mut agg = Aggregate::default();
-        for e in events {
-            match e {
-                Event::Count(c) => *agg.counters.entry(c.name.clone()).or_insert(0) += c.delta,
-                Event::Sample(s) => agg.samples.entry(s.name.clone()).or_default().push(s.value),
-                Event::Span(s) => {
-                    let stat = agg.spans.entry(s.path.clone()).or_default();
+        for r in records {
+            match &r.data {
+                RingData::Count { name, delta } => {
+                    *agg.counters.entry(name.clone()).or_insert(0) += delta
+                }
+                RingData::Sample { name, value } => {
+                    agg.samples.entry(name.clone()).or_default().push(*value)
+                }
+                RingData::End { path, dur_ns, perf } => {
+                    let stat = agg.spans.entry(path.clone()).or_default();
                     stat.count += 1;
-                    stat.total_ns += s.dur_ns;
-                    if let Some(p) = &s.perf {
+                    stat.total_ns += dur_ns;
+                    if let Some(p) = perf {
                         stat.flops += p.flops;
                         stat.bytes += p.bytes;
                         stat.allocs += p.allocs;
                         stat.alloc_bytes += p.alloc_bytes;
                     }
                 }
-                Event::Gauge(g) => {
-                    agg.gauges.insert(g.name.clone(), g.value);
+                RingData::Gauge { name, value } => {
+                    agg.gauges.insert(name.clone(), *value);
                 }
-                Event::Point(p) => agg
+                RingData::Point { name, index, value } => agg
                     .series
-                    .entry(p.name.clone())
+                    .entry(name.clone())
                     .or_default()
-                    .push((p.index, p.value)),
+                    .push((*index, *value)),
+                _ => {}
             }
         }
         for v in agg.samples.values_mut() {
@@ -247,13 +248,28 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CountEvent, GaugeEvent, PointEvent, SampleEvent, SpanEnd};
+    use crate::ring::SpanPerf;
 
-    fn count_event(delta: u64) -> Event {
-        Event::Count(CountEvent {
+    fn rec(data: RingData) -> RingRecord {
+        RingRecord {
+            ts_ns: 0,
+            round: 0,
+            data,
+        }
+    }
+
+    fn count_rec(delta: u64) -> RingRecord {
+        rec(RingData::Count {
             name: "rotate.c".into(),
             delta,
         })
+    }
+
+    fn delta_of(r: &RingRecord) -> u64 {
+        match r.data {
+            RingData::Count { delta, .. } => delta,
+            _ => panic!("expected count"),
+        }
     }
 
     #[test]
@@ -262,27 +278,21 @@ mod tests {
             std::env::temp_dir().join(format!("fedknow_obs_rotate_{}.jsonl", std::process::id()));
         let rotated = JsonlSink::rotated_path(&path);
         let _ = std::fs::remove_file(&rotated);
-        let line_len = serde_json::to_string(&count_event(0)).unwrap().len() as u64 + 1;
+        let line_len = serde_json::to_string(&count_rec(0)).unwrap().len() as u64 + 1;
         // Cap at 10 lines' worth; write 25 -> two rotations.
         let sink = JsonlSink::with_max_bytes(&path, Some(10 * line_len)).unwrap();
         for i in 0..25u64 {
-            sink.emit(&count_event(i));
+            sink.emit(&count_rec(i));
         }
         sink.flush();
         // .1 holds the second batch of 10 (newest rotated file wins)…
         let old = read_jsonl(&rotated).unwrap();
         assert_eq!(old.len(), 10);
-        let Event::Count(first) = &old[0] else {
-            panic!("expected count")
-        };
-        assert_eq!(first.delta, 10);
+        assert_eq!(delta_of(&old[0]), 10);
         // …and the live file holds the newest 5.
         let new = read_jsonl(&path).unwrap();
         assert_eq!(new.len(), 5);
-        let Event::Count(last) = &new[4] else {
-            panic!("expected count")
-        };
-        assert_eq!(last.delta, 24);
+        assert_eq!(delta_of(&new[4]), 24);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&rotated);
     }
@@ -295,7 +305,7 @@ mod tests {
         let _ = std::fs::remove_file(&rotated);
         let sink = JsonlSink::with_max_bytes(&path, None).unwrap();
         for i in 0..100u64 {
-            sink.emit(&count_event(i));
+            sink.emit(&count_rec(i));
         }
         sink.flush();
         assert_eq!(read_jsonl(&path).unwrap().len(), 100);
@@ -303,8 +313,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    fn sample(name: &str, value: u64) -> Event {
-        Event::Sample(SampleEvent {
+    fn sample(name: &str, value: u64) -> RingRecord {
+        rec(RingData::Sample {
             name: name.into(),
             value,
         })
@@ -312,37 +322,41 @@ mod tests {
 
     #[test]
     fn aggregate_totals_and_quantiles() {
-        let mut events = vec![
-            Event::Count(CountEvent {
+        let mut records = vec![
+            rec(RingData::Count {
                 name: "bytes".into(),
                 delta: 4,
             }),
-            Event::Count(CountEvent {
+            rec(RingData::Count {
                 name: "bytes".into(),
                 delta: 6,
             }),
-            Event::Span(SpanEnd {
+            rec(RingData::Begin { path: "run".into() }),
+            rec(RingData::End {
                 path: "run".into(),
                 dur_ns: 50,
-                thread: "t".into(),
                 perf: None,
             }),
-            Event::Span(SpanEnd {
+            rec(RingData::End {
                 path: "run".into(),
                 dur_ns: 70,
-                thread: "t".into(),
-                perf: Some(crate::event::SpanPerf {
+                perf: Some(SpanPerf {
                     flops: 140,
                     bytes: 64,
                     allocs: 2,
                     alloc_bytes: 256,
                 }),
             }),
+            rec(RingData::Fault {
+                client: 0,
+                kind: "crash".into(),
+                detail: 0,
+            }),
         ];
         for v in [5u64, 1, 9, 3, 7] {
-            events.push(sample("lat", v));
+            records.push(sample("lat", v));
         }
-        let agg = Aggregate::from_events(&events);
+        let agg = Aggregate::from_events(&records);
         assert_eq!(agg.counters["bytes"], 10);
         assert_eq!(agg.counter("bytes"), 10);
         assert_eq!(agg.counter("never_touched"), 0);
@@ -355,7 +369,8 @@ mod tests {
                 bytes: 64,
                 allocs: 2,
                 alloc_bytes: 256,
-            }
+            },
+            "only `End` records count as spans"
         );
         // 140 FLOPs over 120 ns: achieved GFLOP/s is FLOPs/ns.
         let g = agg.spans["run"].gflops_per_sec().unwrap();
@@ -368,27 +383,27 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_and_series_sort_by_index() {
-        let events = vec![
-            Event::Gauge(GaugeEvent {
+        let records = vec![
+            rec(RingData::Gauge {
                 name: "g".into(),
                 value: 1.0,
             }),
-            Event::Gauge(GaugeEvent {
+            rec(RingData::Gauge {
                 name: "g".into(),
                 value: 2.0,
             }),
-            Event::Point(PointEvent {
+            rec(RingData::Point {
                 name: "s".into(),
                 index: 5,
                 value: 0.5,
             }),
-            Event::Point(PointEvent {
+            rec(RingData::Point {
                 name: "s".into(),
                 index: 2,
                 value: 0.25,
             }),
         ];
-        let agg = Aggregate::from_events(&events);
+        let agg = Aggregate::from_events(&records);
         assert_eq!(agg.gauges["g"], 2.0);
         assert_eq!(agg.series["s"], vec![(2, 0.25), (5, 0.5)]);
     }

@@ -1,9 +1,10 @@
 //! Hierarchical spans and phase timers.
 //!
 //! Spans form a per-thread stack (`run → task → round → client →
-//! phase`); each completed span emits a [`SpanEnd`](crate::event::SpanEnd)
-//! event carrying its slash-joined path and also records its duration
-//! into the `span.<name>_ns` histogram. Worker threads spawned mid-run
+//! phase`); opening a span emits a [`RingData::Begin`] record and
+//! closing it an [`RingData::End`] record, both carrying the
+//! slash-joined path, and the close also records the duration into the
+//! `span.<name>_ns` histogram. Worker threads spawned mid-run
 //! inherit the parent's path via [`inherit_path`], which is what keeps
 //! paths correct under parallel client execution.
 //!
@@ -13,8 +14,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::event::{Event, SpanEnd, SpanPerf};
-use crate::ring::RingData;
+use crate::ring::{RingData, SpanPerf};
 
 thread_local! {
     static SPAN_PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
@@ -58,14 +58,10 @@ pub fn span(name: &str) -> SpanGuard {
     if !crate::is_enabled() {
         return SpanGuard { start: None };
     }
-    let path = SPAN_PATH.with(|p| {
-        let mut p = p.borrow_mut();
-        p.push(name.to_string());
-        crate::ring::ring_enabled().then(|| p.join("/"))
+    SPAN_PATH.with(|p| p.borrow_mut().push(name.to_string()));
+    crate::emit(|| RingData::Begin {
+        path: current_path(),
     });
-    if let Some(path) = path {
-        crate::ring::record(RingData::Begin { path });
-    }
     let (flops, bytes) = crate::perf::thread_totals();
     let (allocs, alloc_bytes) = crate::alloc::thread_totals();
     SpanGuard {
@@ -93,27 +89,15 @@ impl Drop for SpanGuard {
             allocs: allocs.wrapping_sub(start.allocs),
             alloc_bytes: alloc_bytes.wrapping_sub(start.alloc_bytes),
         };
-        let (path, name) = SPAN_PATH.with(|p| {
-            let mut p = p.borrow_mut();
-            let path = p.join("/");
-            let name = p.pop().unwrap_or_default();
-            (path, name)
-        });
-        // Registry only: the SpanEnd event below already carries the
-        // duration, so no separate sample event is emitted.
-        crate::record_in_registry(&format!("span.{name}_ns"), dur_ns);
-        if crate::ring::ring_enabled() {
-            crate::ring::record(RingData::End {
-                path: path.clone(),
-                dur_ns,
-            });
-        }
-        crate::dispatch(&Event::Span(SpanEnd {
-            path,
+        crate::emit(|| RingData::End {
+            path: current_path(),
             dur_ns,
-            thread: format!("{:?}", std::thread::current().id()),
             perf: (!perf.is_zero()).then_some(perf),
-        }));
+        });
+        let name = SPAN_PATH.with(|p| p.borrow_mut().pop().unwrap_or_default());
+        // Registry only: the `End` record already carries the duration,
+        // so no separate `Sample` record is emitted.
+        crate::record_in_registry(&format!("span.{name}_ns"), dur_ns);
     }
 }
 
@@ -149,7 +133,7 @@ impl Drop for PathGuard {
 }
 
 /// RAII phase timer: on drop, records the elapsed nanoseconds into the
-/// named histogram (and emits a sample event to the JSONL sink).
+/// named histogram (and emits a `Sample` record).
 #[must_use = "dropping a TimerGuard immediately records a zero-length phase; bind it to a variable"]
 pub struct TimerGuard {
     name: &'static str,

@@ -1,6 +1,6 @@
-//! Chrome `trace_event` JSON export of postmortem bundles and JSONL
-//! event streams — loadable in Perfetto (<https://ui.perfetto.dev>) or
-//! `chrome://tracing`.
+//! Chrome `trace_event` JSON export of flight-recorder records — from
+//! postmortem bundles or JSONL streams alike — loadable in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! The timeline is laid out as one process (`pid` 1) with one track
 //! per actor: `tid` 0 is the coordinator, `tid` `c + 1` is client `c`
@@ -18,10 +18,10 @@
 //!   deltas are accumulated into running-total counter tracks.
 //!
 //! Timestamps are microseconds (fractional) since the recording
-//! epoch. JSONL streams carry only span *ends*, so [`jsonl_to_trace`]
-//! lays slices end-to-end per track with synthetic start offsets —
-//! durations are exact, offsets are not; bundles are the
-//! high-fidelity path.
+//! epoch. A bundle's tracks and a JSONL stream hold the same
+//! [`RingRecord`](crate::RingRecord)s, so both go through
+//! [`records_to_trace`] and yield the same timeline; a JSONL stream is
+//! never truncated, so its slices all have their real start times.
 //!
 //! ## Wire lifecycle and multi-process merges
 //!
@@ -473,31 +473,42 @@ fn ring_record_to_events(em: &mut Emitter, rec: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// All of a bundle's ring records, merged across its per-thread
-/// tracks into one globally time-ordered stream. The sort is stable,
-/// so equal timestamps keep each ring's (causal) internal order.
-fn bundle_records(bundle: &Value) -> Result<Vec<&Value>, String> {
+/// Records merged into one globally time-ordered stream. The sort is
+/// stable, so equal timestamps keep their input (causal) order.
+fn time_ordered<'a>(recs: impl IntoIterator<Item = &'a Value>) -> Vec<&'a Value> {
+    let mut recs: Vec<&Value> = recs.into_iter().collect();
+    recs.sort_by_key(|r| r.get("ts_ns").and_then(Value::as_u64).unwrap_or(0));
+    recs
+}
+
+/// All of a bundle's ring records, across its per-thread tracks.
+fn bundle_records(bundle: &Value) -> Result<impl Iterator<Item = &Value>, String> {
     let tracks = bundle
         .get("tracks")
         .and_then(Value::as_array)
         .ok_or("not a postmortem bundle: no `tracks` array")?;
-    let mut recs: Vec<&Value> = Vec::new();
-    for t in tracks {
-        if let Some(events) = t.get("events").and_then(Value::as_array) {
-            recs.extend(events.iter());
-        }
+    Ok(tracks.iter().flat_map(|t| {
+        t.get("events")
+            .and_then(Value::as_array)
+            .into_iter()
+            .flatten()
+    }))
+}
+
+/// Convert ring records (parsed [`RingRecord`](crate::RingRecord)
+/// JSON, in any order — the lines of a JSONL stream, say) into a
+/// Chrome trace value.
+pub fn records_to_trace<'a>(recs: impl IntoIterator<Item = &'a Value>) -> Result<Value, String> {
+    let mut em = Emitter::new();
+    for rec in time_ordered(recs) {
+        ring_record_to_events(&mut em, rec)?;
     }
-    recs.sort_by_key(|r| r.get("ts_ns").and_then(Value::as_u64).unwrap_or(0));
-    Ok(recs)
+    Ok(em.into_trace())
 }
 
 /// Convert a parsed postmortem bundle into a Chrome trace value.
 pub fn bundle_to_trace(bundle: &Value) -> Result<Value, String> {
-    let mut em = Emitter::new();
-    for rec in bundle_records(bundle)? {
-        ring_record_to_events(&mut em, rec)?;
-    }
-    Ok(em.into_trace())
+    records_to_trace(bundle_records(bundle)?)
 }
 
 /// What a multi-process merge established about the run's wire
@@ -536,7 +547,7 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
     let n = bundles.len();
     let mut recs: Vec<Vec<&Value>> = Vec::with_capacity(n);
     for b in bundles {
-        recs.push(bundle_records(b)?);
+        recs.push(time_ordered(bundle_records(b)?));
     }
 
     // Pass 1 — wire lifecycle census: which bundle sent each span,
@@ -680,71 +691,6 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
         offsets_us,
     };
     Ok((finish_multi(parts), stats))
-}
-
-/// Convert a live JSONL event stream (the `FEDKNOW_OBS` sink format)
-/// into a Chrome trace value. JSONL carries span *ends* only, so each
-/// track's slices are laid end-to-end: durations are exact, start
-/// offsets synthetic.
-pub fn jsonl_to_trace(text: &str) -> Result<Value, String> {
-    let mut em = Emitter::new();
-    // Synthetic per-track clocks, µs.
-    let mut clocks: Vec<(u64, f64)> = Vec::new();
-    let clock = |clocks: &mut Vec<(u64, f64)>, tid: u64| -> f64 {
-        match clocks.iter().find(|(t, _)| *t == tid) {
-            Some((_, c)) => *c,
-            None => {
-                clocks.push((tid, 0.0));
-                0.0
-            }
-        }
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ev: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: not JSON: {e}", lineno + 1))?;
-        if let Some(sp) = ev.get("Span") {
-            let path = sp
-                .get("path")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: Span without path", lineno + 1))?;
-            let dur_us = sp.get("dur_ns").and_then(Value::as_u64).unwrap_or(0) as f64 / 1000.0;
-            let tid = tid_for_path(path);
-            let ts = clock(&mut clocks, tid);
-            em.see_ts(ts + dur_us);
-            em.push(
-                tid,
-                obj(vec![
-                    ("name", vs(leaf(path))),
-                    ("cat", vs("span")),
-                    ("ph", vs("X")),
-                    ("ts", vf(ts)),
-                    ("dur", vf(dur_us)),
-                    ("pid", vu(PID)),
-                    ("tid", vu(tid)),
-                    ("args", obj(vec![("path", vs(path))])),
-                ]),
-            );
-            if let Some((_, c)) = clocks.iter_mut().find(|(t, _)| *t == tid) {
-                *c += dur_us;
-            }
-        } else if let Some(p) = ev.get("Point") {
-            let name = p.get("name").and_then(Value::as_str).unwrap_or("point");
-            let value = p.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-            let ts = clock(&mut clocks, 0);
-            em.counter(ts, name, value);
-        } else if let Some(g) = ev.get("Gauge") {
-            let name = g.get("name").and_then(Value::as_str).unwrap_or("gauge");
-            let value = g.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-            let ts = clock(&mut clocks, 0);
-            em.counter(ts, name, value);
-        }
-        // Count/Sample JSONL events are aggregate material; skipped.
-    }
-    Ok(em.into_trace())
 }
 
 /// Validation summary of a trace (see [`validate`]).
@@ -1077,17 +1023,57 @@ mod tests {
         assert!(validate(&unclosed).unwrap_err().contains("never closed"));
     }
 
+    /// The same records give the same trace whether they arrive as a
+    /// bundle (per-thread tracks) or as JSONL lines (one stream, in
+    /// write order, which may lag the timestamps across threads).
     #[test]
-    fn jsonl_conversion_lays_slices_per_track() {
-        let jsonl = r#"{"Span":{"path":"run/client.0/train","dur_ns":4000,"thread":"ThreadId(2)"}}
-{"Span":{"path":"run/client.1/train","dur_ns":2000,"thread":"ThreadId(3)"}}
-{"Span":{"path":"run/client.0","dur_ns":6000,"thread":"ThreadId(2)"}}
-{"Point":{"name":"fl.participation","index":0,"value":1.0}}"#;
-        let trace = jsonl_to_trace(jsonl).unwrap();
-        let stats = validate(&trace).unwrap();
-        assert_eq!(stats.slices, 3);
-        assert_eq!(stats.counters, 1);
-        assert_eq!(stats.tracks, 3, "client 0, client 1, coordinator counter");
+    fn bundle_and_jsonl_records_give_the_same_trace() {
+        let main_thread = [
+            r#"{"ts_ns":1000,"round":0,"data":{"Begin":{"path":"run"}}}"#,
+            r#"{"ts_ns":9000,"round":0,"data":{"Count":{"name":"comm.upload_bytes","delta":64}}}"#,
+            r#"{"ts_ns":9500,"round":0,"data":{"End":{"path":"run","dur_ns":8500,"perf":null}}}"#,
+        ];
+        let worker = [
+            r#"{"ts_ns":2000,"round":0,"data":{"Begin":{"path":"run/client.0"}}}"#,
+            r#"{"ts_ns":3000,"round":0,"data":{"Fault":{"client":0,"kind":"straggle","detail":2}}}"#,
+            r#"{"ts_ns":4000,"round":0,"data":{"End":{"path":"run/client.0","dur_ns":2000,"perf":{"flops":8,"bytes":4,"allocs":0,"alloc_bytes":0}}}}"#,
+            r#"{"ts_ns":4500,"round":0,"data":{"Point":{"name":"fl.participation","index":0,"value":1.0}}}"#,
+        ];
+        let bundle = serde_json::from_str::<Value>(&format!(
+            r#"{{"version":1,"reason":"unit","round":0,"context":[],
+                "metrics":{{"counters":[],"gauges":[],"hists":[],"series":[]}},
+                "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{}]}},
+                          {{"thread":"ThreadId(2)","dropped":0,"events":[{}]}}]}}"#,
+            main_thread.join(","),
+            worker.join(",")
+        ))
+        .unwrap();
+        // JSONL order: the main thread's `Begin`, then the worker's
+        // lines, with the main thread's later records interleaved
+        // out of timestamp order.
+        let jsonl = [
+            main_thread[0],
+            worker[0],
+            main_thread[1],
+            worker[1],
+            worker[2],
+            main_thread[2],
+            worker[3],
+        ];
+        let lines: Vec<Value> = jsonl
+            .iter()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let from_bundle = bundle_to_trace(&bundle).unwrap();
+        let from_jsonl = records_to_trace(&lines).unwrap();
+        assert_eq!(from_jsonl, from_bundle);
+        let stats = validate(&from_jsonl).unwrap();
+        assert_eq!(stats.slices, 2);
+        assert_eq!(stats.instants, 1, "the fault instant");
+        assert_eq!(stats.counters, 2);
+        let text = serde_json::to_string(&from_jsonl).unwrap();
+        assert!(!text.contains("truncated"), "{text}");
+        assert!(text.contains(r#""ph":"B""#), "real begin times: {text}");
     }
 
     fn bundle_with_pid(pid: u64, name: &str, events: &str) -> Value {

@@ -3,8 +3,7 @@
 //! atomicity under concurrent writers, span nesting, and the JSONL
 //! round-trip into the aggregator.
 
-use fedknow_obs::event::{CountEvent, SampleEvent, SpanEnd};
-use fedknow_obs::{Aggregate, Event, JsonlSink, LogHistogram, Registry, Sink};
+use fedknow_obs::{Aggregate, JsonlSink, LogHistogram, Registry, RingData, RingRecord, SpanPerf};
 use proptest::prelude::*;
 
 /// Exact nearest-rank quantile over raw samples — the oracle the
@@ -144,45 +143,58 @@ fn spans_nest_and_inherit_across_threads() {
 
 #[test]
 fn jsonl_roundtrips_into_aggregate() {
-    let events = vec![
-        Event::Span(SpanEnd {
+    let data = vec![
+        RingData::Begin { path: "run".into() },
+        RingData::End {
             path: "run".into(),
             dur_ns: 500,
-            thread: "ThreadId(1)".into(),
             perf: None,
-        }),
-        Event::Span(SpanEnd {
+        },
+        RingData::End {
             path: "run/task.0".into(),
             dur_ns: 200,
-            thread: "ThreadId(1)".into(),
-            perf: Some(fedknow_obs::SpanPerf {
+            perf: Some(SpanPerf {
                 flops: 4000,
                 bytes: 2000,
                 allocs: 1,
                 alloc_bytes: 64,
             }),
-        }),
-        Event::Count(CountEvent {
+        },
+        RingData::Count {
             name: "comm.upload_bytes".into(),
             delta: 4096,
-        }),
-        Event::Count(CountEvent {
+        },
+        RingData::Count {
             name: "comm.upload_bytes".into(),
             delta: 1024,
-        }),
-        Event::Sample(SampleEvent {
+        },
+        RingData::Sample {
             name: "qp.solve_ns".into(),
             value: 42,
-        }),
-        Event::Sample(SampleEvent {
+        },
+        RingData::Sample {
             name: "qp.solve_ns".into(),
             value: 58,
-        }),
-        Event::Sample(SampleEvent {
+        },
+        RingData::Sample {
             name: "qp.iters".into(),
             value: 17,
-        }),
+        },
+        RingData::Fault {
+            client: 1,
+            kind: "crash".into(),
+            detail: 0,
+        },
     ];
+    let events: Vec<RingRecord> = data
+        .into_iter()
+        .enumerate()
+        .map(|(i, data)| RingRecord {
+            ts_ns: 100 * i as u64,
+            round: 2,
+            data,
+        })
+        .collect();
 
     let path = std::env::temp_dir().join(format!("fedknow_obs_rt_{}.jsonl", std::process::id()));
     let sink = JsonlSink::create(&path).unwrap();
@@ -200,6 +212,7 @@ fn jsonl_roundtrips_into_aggregate() {
     assert_eq!(agg.counters["comm.upload_bytes"], 5120);
     assert_eq!(agg.samples["qp.solve_ns"], vec![42, 58]);
     assert_eq!(agg.spans["run"].total_ns, 500);
+    assert_eq!(agg.spans["run"].count, 1, "a `Begin` is no completed span");
     assert_eq!(agg.spans["run/task.0"].flops, 4000);
     assert_eq!(agg.spans["run/task.0"].allocs, 1);
     assert_eq!(agg.quantile("qp.iters", 0.5), Some(17));
@@ -211,9 +224,13 @@ fn jsonl_reader_rejects_garbage() {
     let path = std::env::temp_dir().join(format!("fedknow_obs_bad_{}.jsonl", std::process::id()));
     std::fs::write(
         &path,
-        "{\"Count\":{\"name\":\"x\",\"delta\":1}}\nnot json\n",
+        "{\"ts_ns\":1,\"round\":0,\"data\":{\"Count\":{\"name\":\"x\",\"delta\":1}}}\nnot json\n",
     )
     .unwrap();
+    let err = fedknow_obs::read_jsonl(&path);
+    assert!(err.is_err());
+    // A line in some other shape (no timestamp, no `data`) is no record.
+    std::fs::write(&path, "{\"Count\":{\"name\":\"x\",\"delta\":1}}\n").unwrap();
     let err = fedknow_obs::read_jsonl(&path);
     std::fs::remove_file(&path).ok();
     assert!(err.is_err());
